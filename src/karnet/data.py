@@ -30,6 +30,7 @@ __all__ = [
     "load_iris",
     "split_rows",
     "iris_train_test_split",
+    "reorder_classes",
 ]
 
 XOR_POINTS = np.array(
@@ -44,7 +45,7 @@ class Dataset:
 
     ``class_count`` is 0 for regression targets.  ``scaling`` holds the
     per-column (min, max) pairs the features were scaled with, when they
-    have been.
+    have been.  ``class_names`` lists a CSV's label values by class index.
     """
 
     x: np.ndarray
@@ -52,6 +53,7 @@ class Dataset:
     labels: np.ndarray | None = None
     scaling: list[tuple[float, float]] | None = None
     class_count: int = 0
+    class_names: list[str] | None = None
 
     def __post_init__(self):
         if self.x.shape[0] != self.y.shape[0]:
@@ -91,8 +93,9 @@ def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
     """Load a numeric CSV with one label column.
 
     Labels map to class indices in first-appearance order.  Ragged rows,
-    non-numeric feature cells, and empty cells raise DataError with the
-    offending location (1-based, header included in the numbering).
+    non-numeric or non-finite feature cells, and empty cells raise
+    DataError with the offending location (1-based, header included in the
+    numbering).
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -136,10 +139,18 @@ def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
         features.append(feats)
 
     x = np.asarray(features, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        col = j + (j >= label_column)
+        lineno, row = rows[i]
+        raise DataError(
+            f"non-finite feature cell {row[col].strip()!r}", row=lineno, column=col + 1
+        )
     lab = np.asarray(labels, dtype=np.intp)
     q = len(label_map)
     y = encode_one_vs_all(lab, q)
-    return Dataset(x=x, y=y, labels=lab, class_count=q)
+    return Dataset(x=x, y=y, labels=lab, class_count=q, class_names=list(label_map))
 
 
 def write_csv(ds: Dataset, path, label_names: list[str] | None = None) -> None:
@@ -257,6 +268,7 @@ def split_rows(ds: Dataset, indices) -> Dataset:
         labels=None if ds.labels is None else ds.labels[idx],
         scaling=ds.scaling,
         class_count=ds.class_count,
+        class_names=ds.class_names,
     )
 
 
@@ -274,3 +286,23 @@ def iris_train_test_split(ds: Dataset) -> tuple[Dataset, Dataset]:
             seen[c] = seen.get(c, 0) + 1
     test_idx = sorted(set(range(ds.n_samples)) - set(train_idx))
     return split_rows(ds, train_idx), split_rows(ds, test_idx)
+
+
+def reorder_classes(ds: Dataset, classes: list[str]) -> Dataset:
+    """Renumber a CSV dataset's classes (``class_names`` set) to follow
+    ``classes`` by name.
+
+    A class name that ``classes`` does not list raises DataError.
+    """
+    names = ds.class_names
+    for name in names:
+        if name not in classes:
+            raise DataError(f"class {name!r} is not one of the trained classes {classes}")
+    labels = np.array([classes.index(n) for n in names], dtype=np.intp)[ds.labels]
+    return replace(
+        ds,
+        y=encode_one_vs_all(labels, len(classes)),
+        labels=labels,
+        class_count=len(classes),
+        class_names=list(classes),
+    )

@@ -22,11 +22,12 @@ from .data import (
     load_csv,
     load_iris,
     make_xor,
+    reorder_classes,
     scale_minmax,
     split_rows,
     stratified_folds,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .gradient_descent import GdConfig, train_gd
 from .network import Network, NetworkSpec, forward
 from .training import (
@@ -144,6 +145,16 @@ def _unit_seed(*parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """Create the run's output directory; failing that is a config error."""
+    outdir = Path(cfg.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out}: {exc}") from None
+    return outdir
+
+
 def write_report(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -161,8 +172,7 @@ def run_xor_demo(cfg: ExperimentConfig) -> dict:
     """Train the two reference nets on the perturbed exclusive-or points and
     export a 101 x 101 output-surface grid over the unit square."""
     ds = load_dataset(replace(cfg, dataset="xor"))
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
 
     nets: dict[str, Network] = {}
     report: dict = {"command": "xor-demo", "seed": cfg.seed, "nets": {}}
@@ -210,8 +220,7 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
     test = apply_scaling(test, train.scaling, cfg.scale_eps)
 
     grid = cfg.grid or IRIS_SWEEP_GRID
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
 
     rows = []
     per_h: dict[int, dict[str, list[float]]] = {}
@@ -298,7 +307,9 @@ def run_cv(cfg: ExperimentConfig) -> dict:
     Fold plans depend only on (seed, trial), never on the trainer, so
     different trainers evaluated with the same seed see identical splits.
     When a sweep grid is configured, the hidden size is selected per fold
-    by an inner cross-validation on the training subset only.
+    by an inner cross-validation on the training subset only.  Each row
+    times that selection (``select_wall_time``) apart from the final fit
+    (``train_wall_time``); ``aggregate.total_wall_time`` is their sum.
     """
     ds = load_dataset(cfg)
     if ds.labels is None or ds.class_count < 2:
@@ -307,6 +318,7 @@ def run_cv(cfg: ExperimentConfig) -> dict:
         raise ConfigError("cv needs --layers or a sweep --grid")
     if cfg.folds > ds.n_samples:
         raise ConfigError(f"folds={cfg.folds} exceed {ds.n_samples} samples")
+    outdir = _output_dir(cfg)
 
     rows = []
     for trial in range(cfg.trials):
@@ -317,11 +329,13 @@ def run_cv(cfg: ExperimentConfig) -> dict:
             test = split_rows(ds, plan.test_indices(fold))
             train_s = scale_minmax(train, cfg.scale_eps)
             test_s = apply_scaling(test, train_s.scaling, cfg.scale_eps)
+            t0 = time.perf_counter()
             hidden = (
                 _select_hidden(cfg, train, _unit_seed(cfg.seed, trial, fold))
                 if cfg.grid
                 else cfg.layers
             )
+            select_time = time.perf_counter() - t0
             seed = _unit_seed(cfg.seed, trial, fold, 1)
             t0 = time.perf_counter()
             net, rep = _train_once(cfg, train_s.x, train_s.y, hidden, seed)
@@ -335,12 +349,14 @@ def run_cv(cfg: ExperimentConfig) -> dict:
                     "hidden": list(hidden),
                     "accuracy": acc,
                     "train_sse": rep.train_sse,
+                    "select_wall_time": select_time,
                     "train_wall_time": train_time,
                 }
             )
 
     accuracies = [r["accuracy"] for r in rows]
     times = [r["train_wall_time"] for r in rows]
+    select_times = [r["select_wall_time"] for r in rows]
     report = {
         "command": "cv",
         "trainer": cfg.trainer,
@@ -353,10 +369,9 @@ def run_cv(cfg: ExperimentConfig) -> dict:
             "mean_accuracy": float(np.mean(accuracies)),
             "mean_train_wall_time": float(np.mean(times)),
             "total_train_wall_time": float(np.sum(times)),
+            "total_wall_time": float(np.sum(times) + np.sum(select_times)),
         },
     }
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_report(report, outdir / "report.json")
     return report
 
@@ -364,24 +379,40 @@ def run_cv(cfg: ExperimentConfig) -> dict:
 def run_train(cfg: ExperimentConfig) -> dict:
     """Fit one network on a full dataset; persist weights and a report."""
     ds = load_dataset(cfg)
+    outdir = _output_dir(cfg)
     scaled = scale_minmax(ds, cfg.scale_eps)
     hidden = cfg.layers
     net, rep = _train_once(cfg, scaled.x, scaled.y, hidden, cfg.seed)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     from .network import save_network
 
     save_network(net, outdir / "weights.json")
+    preprocessing = {"scale_eps": cfg.scale_eps, "scaling": scaled.scaling}
+    if ds.class_names is not None:
+        preprocessing["classes"] = ds.class_names
     report = {
         "command": "train",
         "dataset": cfg.dataset,
         "trainer": cfg.trainer,
         "train_report": rep.to_dict(),
         "weights_file": "weights.json",
-        "preprocessing": {"scale_eps": cfg.scale_eps, "scaling": scaled.scaling},
+        "preprocessing": preprocessing,
     }
     write_report(report, outdir / "report.json")
     return report
+
+
+def _train_preprocessing(sidecar: Path) -> dict:
+    """The ``preprocessing`` block of a train report; empty without one."""
+    if not sidecar.exists():
+        return {}
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            pre = json.load(fh).get("preprocessing") or {}
+    except (OSError, ValueError, AttributeError) as exc:
+        raise DataError(f"cannot read train report {sidecar}: {exc}") from None
+    if not isinstance(pre, dict):
+        raise DataError(f"train report {sidecar}: preprocessing is not an object")
+    return pre
 
 
 def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
@@ -389,21 +420,36 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
 
     Reuses the training-time scaling when a train report sits next to the
     weights file; otherwise fits scaling on the evaluation data itself.
+    Class labels are matched to the trained outputs by the class names the
+    train report lists, so the order in which classes appear in the
+    evaluation file does not matter.
     """
     from .network import load_network
 
     net = load_network(weights_path)
     ds = load_dataset(cfg)
-    sidecar = Path(weights_path).parent / "report.json"
+    outdir = _output_dir(cfg)
+    pre = _train_preprocessing(Path(weights_path).parent / "report.json")
     scaling = None
     eps = cfg.scale_eps
-    if sidecar.exists():
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            side = json.load(fh)
-        pre = side.get("preprocessing")
-        if pre and pre.get("scaling"):
-            scaling = [tuple(p) for p in pre["scaling"]]
-            eps = float(pre.get("scale_eps", eps))
+    if pre.get("scaling"):
+        try:
+            scaling = [(float(lo), float(hi)) for lo, hi in pre["scaling"]]
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed scaling in train report: {exc}") from None
+        if len(scaling) != ds.n_features:
+            raise DataError(
+                f"train report scales {len(scaling)} features, data has {ds.n_features}"
+            )
+        eps = float(pre.get("scale_eps", eps))
+    classes = pre.get("classes")
+    if classes and ds.class_names is not None:
+        if not isinstance(classes, list) or len(classes) != net.spec.output_dim:
+            raise DataError(
+                f"train report classes {classes!r} do not match the "
+                f"{net.spec.output_dim} network outputs"
+            )
+        ds = reorder_classes(ds, [str(c) for c in classes])
     scaled = (
         apply_scaling(ds, scaling, eps) if scaling else scale_minmax(ds, eps)
     )
@@ -418,7 +464,5 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
     if ds.labels is not None and ds.class_count >= 2:
         report["error_rate"] = error_rate(g, ds.labels)
         report["accuracy"] = 1.0 - report["error_rate"]
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_report(report, outdir / "eval_report.json")
     return report

@@ -159,7 +159,7 @@ def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
         spec=cfg.spec.to_dict(),
         weight_norms=[float(np.linalg.norm(w)) for w in net.weights],
         iterations=used,
-        init_style="uniform(0,1)",
+        init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
     )
     return net, report
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import ActivationPair, apply_f, get_pair
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, KarnetError
 
 __all__ = [
     "NetworkSpec",
@@ -168,5 +168,12 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return network_from_json(fh.read())
+    """Read a weights file; an unreadable or malformed one is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            net = network_from_json(fh.read())
+    except (OSError, ValueError, KeyError, TypeError, KarnetError) as exc:
+        raise DataError(f"cannot load weights file {path}: {exc!r}") from None
+    if not all(np.all(np.isfinite(w)) for w in net.weights):
+        raise DataError(f"weights file {path} holds non-finite weights")
+    return net

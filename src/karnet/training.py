@@ -28,6 +28,7 @@ to the number of samples a network can fit exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -60,7 +61,7 @@ class KarConfig:
     when given.  ``target_transform`` names the activation pair whose
     inverse is applied to the targets; it defaults to the spec's pair.
     Random layer draws whose node block has condition number above
-    ``guard_kappa`` are redrawn (up to ``guard_tries`` times) to guard
+    ``GUARD_KAPPA`` are redrawn (up to ``GUARD_TRIES`` times) to guard
     against degenerate initializations.
     """
 
@@ -68,8 +69,6 @@ class KarConfig:
     seed: int | None = None
     rcond: float | None = None
     target_transform: str | None = None
-    guard_kappa: float = GUARD_KAPPA
-    guard_tries: int = GUARD_TRIES
 
     @property
     def effective_seed(self) -> int:
@@ -166,15 +165,60 @@ def _check_spec(cfg: KarConfig, x: np.ndarray, y: np.ndarray) -> None:
         )
 
 
+def _kappa_lower_bound(b: np.ndarray) -> float:
+    """A lower bound on the condition number of ``b`` from one O(pq) pass.
+
+    With ``b`` taken tall (p >= q >= 2), any unit vectors u and v give
+    sigma_max >= |b u| and sigma_min <= |b v| (Courant-Fischer).  Taking
+    u = 1/sqrt(q) and v = (e_j - 1/q) / sqrt(1 - 1/q) gives
+
+        kappa(b) >= (|b 1| / sqrt(q)) / (min_j |b_j - mean| / sqrt(1 - 1/q))
+                  = sqrt((q - 1) |mean|^2 / min_j |b_j - mean|^2).
+
+    The column distances come from Gram terms, so no centred copy of ``b``
+    is made.  A single column has kappa = 1 and returns 1; a block that is
+    not finite returns 0 (no bound).
+    """
+    if b.shape[0] < b.shape[1]:
+        b = b.T
+    q = b.shape[1]
+    if q < 2:
+        return 1.0
+    scale = float(max(b.max(), -b.min()))
+    if not 1e-100 < scale < 1e100:  # keep the squares clear of under/overflow
+        if scale == 0.0:
+            return math.inf
+        if not math.isfinite(scale):
+            return 0.0
+        b = b / scale
+    mean = b.sum(axis=1) / q
+    mean2 = float(mean @ mean)
+    dist2 = float((np.einsum("ij,ij->j", b, b) - 2.0 * (mean @ b)).min()) + mean2
+    return math.sqrt((q - 1) * mean2 / dist2) if dist2 > 0.0 else math.inf
+
+
 def _guarded_uniform(
     rng: np.random.Generator, shape: tuple[int, int], kappa: float, tries: int
 ) -> np.ndarray:
-    """Uniform(0,1) draw, redrawn while the node block is badly conditioned."""
+    """Uniform(0,1) draw, redrawn while the node block is badly conditioned.
+
+    A draw whose cheap lower bound on kappa already exceeds the limit is
+    rejected without an SVD; the SVD decides the rest.  When no draw passes
+    within ``tries`` redraws, the last draw is kept.
+
+    On a uniform(0,1) block with q = min(p, q) columns the bound sits near
+    sqrt(3q) (squared mean column ~p/4, squared column spread ~p/12), so it
+    is only computed when 3q >= kappa^2; narrower blocks, whose SVD is as
+    cheap as the bound, go straight to the SVD.
+    """
+    certify = 3 * min(shape[0] - 1, shape[1]) >= kappa * kappa
     w = rng.uniform(0.0, 1.0, size=shape)
     for _ in range(max(0, tries)):
-        s = np.linalg.svd(w[1:, :], compute_uv=False)
-        if s[-1] > 0.0 and s[0] / s[-1] <= kappa:
-            break
+        node = w[1:, :]
+        if not (certify and _kappa_lower_bound(node) > kappa * (1.0 + 1e-9)):
+            s = np.linalg.svd(node, compute_uv=False)
+            if s[-1] > 0.0 and s[0] / s[-1] <= kappa:
+                break
         w = rng.uniform(0.0, 1.0, size=shape)
     return w
 
@@ -254,9 +298,7 @@ def _train_kar(x, y, cfg: KarConfig, trainer: str) -> tuple[Network, TrainReport
     # random initialization of layers 2..n (bias rows and node blocks)
     weights: list[np.ndarray | None] = [None] * n
     for k in range(2, n + 1):
-        weights[k - 1] = _guarded_uniform(
-            rng, shapes[k - 1], cfg.guard_kappa, cfg.guard_tries
-        )
+        weights[k - 1] = _guarded_uniform(rng, shapes[k - 1], GUARD_KAPPA, GUARD_TRIES)
 
     # peeling chain: invert the random layers off the transformed targets,
     # outermost first; records one target matrix per layer

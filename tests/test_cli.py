@@ -116,3 +116,107 @@ class TestExitCodes:
             rep = json.loads((out / "report.json").read_text())
             outs.append(json.dumps(strip_wall_times(rep), sort_keys=True))
         assert outs[0] == outs[1]
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import karnet
+
+    env = dict(os.environ, PYTHONPATH=str(Path(karnet.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "karnet.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+def _iris_csvs(tmp_path):
+    """The 90/60 iris split as CSV files: train, test, test reversed."""
+    from karnet.data import iris_train_test_split, load_iris, split_rows, write_csv
+
+    ds = load_iris()
+    train, test = iris_train_test_split(ds)
+    paths = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "test_rev.csv"
+    write_csv(train, paths[0], ds.class_names)
+    write_csv(test, paths[1], ds.class_names)
+    write_csv(split_rows(test, np.arange(test.n_samples)[::-1]), paths[2], ds.class_names)
+    return paths
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_cell_is_data_error(self, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0.1,0.2,a\n0.3,{cell},b\n0.5,0.6,a\n")
+        code, err = run_cli_process(
+            "train", "--data", str(bad), "--layers", "2", "--out", str(tmp_path / "o"),
+        )
+        assert code == EXIT_DATA
+        assert "Traceback" not in err
+        assert "row 2" in err and "column 2" in err
+
+    @pytest.mark.parametrize(
+        "content", ["{}", "not json", '{"spec": {"input_dim": 4}}', '{"spec": [], "weights": 3}']
+    )
+    def test_malformed_weights_is_data_error(self, tmp_path, content):
+        weights = tmp_path / "weights.json"
+        weights.write_text(content)
+        code, err = run_cli_process(
+            "eval", "--data", "iris", "--weights", str(weights), "--out", str(tmp_path),
+        )
+        assert code == EXIT_DATA
+        assert "Traceback" not in err
+
+    def test_uncreatable_out_is_config_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, err = run_cli_process(
+            "train", "--data", "iris", "--layers", "3", "--out", str(blocker / "sub"),
+        )
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+
+    def test_gd_report_names_signed_centred_init(self, tmp_path):
+        code, err = run_cli_process(
+            "train", "--data", "iris", "--layers", "3", "--trainer", "gd",
+            "--max-iters", "5", "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        assert "Traceback" not in err
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert rep["train_report"]["init_style"].startswith("uniform(-1,1)")
+
+    def test_eval_matches_classes_by_name(self, tmp_path):
+        """Reversing the test rows reverses the order in which classes
+        first appear; the score must not change."""
+        train, test, test_rev = _iris_csvs(tmp_path)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", str(train), "--layers", "20",
+                       "--out", str(out)) == EXIT_OK
+        trained = json.loads((out / "report.json").read_text())
+        assert trained["preprocessing"]["classes"] == ["setosa", "versicolor", "virginica"]
+        accs = []
+        for path in (test, test_rev):
+            assert run_cli("eval", "--data", str(path), "--weights",
+                           str(out / "weights.json"), "--out", str(out)) == EXIT_OK
+            accs.append(json.loads((out / "eval_report.json").read_text())["accuracy"])
+        assert accs[0] == accs[1]
+        assert accs[0] > 0.9
+
+    def test_eval_unknown_class_is_data_error(self, tmp_path):
+        train, test, _ = _iris_csvs(tmp_path)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", str(train), "--layers", "5",
+                       "--out", str(out)) == EXIT_OK
+        test.write_text(test.read_text().replace(",setosa", ",bristly"))
+        code, err = run_cli_process(
+            "eval", "--data", str(test), "--weights", str(out / "weights.json"),
+            "--out", str(out),
+        )
+        assert code == EXIT_DATA
+        assert "Traceback" not in err and "bristly" in err

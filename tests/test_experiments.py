@@ -130,6 +130,16 @@ class TestRunCv:
             grid=(1, 5), pattern="exp2"))
         assert all(r["hidden"] in ([1], [5]) for r in rep["rows"])
 
+    def test_wall_time_counts_model_selection(self, tmp_path):
+        rep = run_cv(
+            ExperimentConfig(dataset="iris", out=str(tmp_path), seed=0,
+                             trials=1, folds=3, grid=(2, 5))
+        )
+        rows = rep["rows"]
+        assert all(r["select_wall_time"] > 0.0 for r in rows)
+        parts = sum(r["select_wall_time"] + r["train_wall_time"] for r in rows)
+        assert rep["aggregate"]["total_wall_time"] >= parts * (1 - 1e-12)
+
     def test_requires_labels_and_arch(self, tmp_path):
         with pytest.raises(ConfigError):
             run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path)))
