@@ -27,7 +27,9 @@ class ActivationPair:
     """Forward function, its inverse, and the open domain of the forward.
 
     ``forward_deriv`` is the derivative of the forward function, evaluated
-    on already-clamped values; iterative trainers need it.
+    on already-clamped values; iterative trainers need it.  ``forward`` and
+    ``inverse`` return a new array and never write to their argument, so
+    ``apply_phi`` may clamp the inverse's result in place.
     """
 
     name: str
@@ -38,8 +40,8 @@ class ActivationPair:
     clamp_eps: float = DEFAULT_CLAMP_EPS
     forward_deriv: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def clamp(self, m: np.ndarray) -> np.ndarray:
-        return np.clip(m, self.lo + self.clamp_eps, self.hi - self.clamp_eps)
+    def clamp(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.clip(m, self.lo + self.clamp_eps, self.hi - self.clamp_eps, out=out)
 
 
 def apply_f(pair: ActivationPair, m) -> np.ndarray:
@@ -51,17 +53,23 @@ def apply_f(pair: ActivationPair, m) -> np.ndarray:
 def apply_phi(pair: ActivationPair, m) -> np.ndarray:
     """Apply the inverse transform elementwise; outputs stay inside the domain."""
     a = pair.inverse(np.asarray(m, dtype=np.float64))
-    return pair.clamp(a)
+    return pair.clamp(a, out=a)
 
 
 def _logit(a: np.ndarray) -> np.ndarray:
-    return np.log(a / (1.0 - a))
+    # log(a / (1 - a)) in one new buffer; out= keeps a 0-d input an array
+    r = np.subtract(1.0, a, out=np.empty_like(a))
+    np.divide(a, r, out=r)
+    return np.log(r, out=r)
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    # clip the argument so exp never overflows; the tails saturate anyway
-    z = np.clip(a, -700.0, 700.0)
-    return 1.0 / (1.0 + np.exp(-z))
+    # 1 / (1 + exp(-z)) in the clip's buffer; the clip keeps exp from overflowing
+    z = np.clip(a, -700.0, 700.0, out=np.empty_like(a))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(1.0, z, out=z)
+    return np.divide(1.0, z, out=z)
 
 
 def _logit_deriv(a: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .data import (
     split_rows,
     stratified_folds,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .gradient_descent import GdConfig, train_gd
 from .network import Network, NetworkSpec, forward
 from .training import (
@@ -156,9 +156,14 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 
 
 def write_report(report: dict, path) -> None:
+    """Write ``report`` as strict JSON; a NaN or Infinity in it is a
+    NumericalError, and no file is written."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report {path} would hold a non-finite value: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_rows_csv(path, header: list[str], rows: list[list]) -> None:
@@ -284,14 +289,15 @@ def _select_hidden(
     ties in mean accuracy break toward the smaller hidden size."""
     inner_k = min(cfg.folds, train.n_samples)
     plan = stratified_folds(train.labels, inner_k, trial_seed)
+    scaled = []  # each inner fold's scaled (train, validation) pair, made once
+    for fold in range(inner_k):
+        tr_s = scale_minmax(split_rows(train, plan.train_indices(fold)), cfg.scale_eps)
+        va = split_rows(train, plan.test_indices(fold))
+        scaled.append((tr_s, apply_scaling(va, tr_s.scaling, cfg.scale_eps)))
     best_h, best_acc = None, -1.0
     for h in sorted(cfg.grid):
         accs = []
-        for fold in range(inner_k):
-            tr = split_rows(train, plan.train_indices(fold))
-            va = split_rows(train, plan.test_indices(fold))
-            tr_s = scale_minmax(tr, cfg.scale_eps)
-            va_s = apply_scaling(va, tr_s.scaling, cfg.scale_eps)
+        for fold, (tr_s, va_s) in enumerate(scaled):
             seed = _unit_seed(trial_seed, h, fold)
             net, _ = _train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(int(h)), seed)
             accs.append(1.0 - error_rate(forward(net, va_s.x), va_s.labels))
@@ -450,6 +456,11 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
                 f"{net.spec.output_dim} network outputs"
             )
         ds = reorder_classes(ds, [str(c) for c in classes])
+    if (ds.n_features, ds.y.shape[1]) != (net.spec.input_dim, net.spec.output_dim):
+        raise DataError(
+            f"data has {ds.n_features} features and {ds.y.shape[1]} target columns; "
+            f"the network takes {net.spec.input_dim} and gives {net.spec.output_dim}"
+        )
     scaled = (
         apply_scaling(ds, scaling, eps) if scaling else scale_minmax(ds, eps)
     )

@@ -37,7 +37,8 @@ import numpy as np
 from .activations import ActivationPair, apply_f, apply_phi, get_pair
 from .errors import ConfigError, DimensionError, NumericalError
 from .linalg import as_matrix, pinv, require_rank
-from .network import Network, NetworkSpec, add_bias_column, forward
+# forward is not called here; bench/tracing.py wraps karnet.training.forward by name
+from .network import Network, NetworkSpec, add_bias_column, forward  # noqa: F401
 
 __all__ = [
     "KarConfig",
@@ -81,7 +82,8 @@ class KarConfig:
 
 @dataclass
 class TrainReport:
-    """Per-run training record; wall_time is the only nondeterministic field."""
+    """Per-run training record; wall_time is the only nondeterministic field.
+    A non-finite SSE or weight norm (overflowed weights) is a NumericalError."""
 
     trainer: str
     train_sse: float
@@ -95,6 +97,11 @@ class TrainReport:
     peel_chains: int = 0
     iterations: int | None = None
     init_style: str = "uniform(0,1)"
+
+    def __post_init__(self):
+        values = [self.train_sse, self.train_sse_transformed, *self.weight_norms]
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"{self.trainer} fit ended with a non-finite SSE or weight norm")
 
     def to_dict(self) -> dict:
         d = {
@@ -244,20 +251,23 @@ def _solve(a: np.ndarray, b: np.ndarray, rcond, counter: _Counter, what: str) ->
 def _finish_report(
     trainer: str,
     net: Network,
-    x: np.ndarray,
+    a: np.ndarray,
+    target: np.ndarray,
     y: np.ndarray,
     cfg: KarConfig,
     counter: _Counter,
     t0: float,
     init_style: str,
 ) -> TrainReport:
-    g = forward(net, x)
-    out_sse = float(np.sum((g - y) ** 2))
-    t_sse = transformed_sse(net, x, y, cfg.transform_pair())
+    """Score the fit from the output layer's input ``a`` and transformed target,
+    bit for bit as ``forward`` and ``transformed_sse`` would, with no new pass."""
+    z = a @ net.weights[-1]
+    r = z - target
+    g = apply_f(net.spec.pair(), z)
     return TrainReport(
         trainer=trainer,
-        train_sse=out_sse,
-        train_sse_transformed=t_sse,
+        train_sse=float(np.sum((g - y) ** 2)),
+        train_sse_transformed=float(np.sum(r * r)),
         train_error_rate=classification_error_rate(g, y),
         wall_time=time.perf_counter() - t0,
         seed=cfg.effective_seed,
@@ -278,9 +288,10 @@ def train_single_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
         raise ConfigError("train_single_layer requires a spec with no hidden layer")
     counter = _Counter()
     target = apply_phi(cfg.transform_pair(), ym)
-    w1 = _solve(add_bias_column(xm), target, cfg.rcond, counter, "input matrix")
+    a = add_bias_column(xm)
+    w1 = _solve(a, target, cfg.rcond, counter, "input matrix")
     net = Network(spec=cfg.spec, weights=[w1])
-    return net, _finish_report("kar", net, xm, ym, cfg, counter, t0, "n/a")
+    return net, _finish_report("kar", net, a, target, ym, cfg, counter, t0, "n/a")
 
 
 def _train_kar(x, y, cfg: KarConfig, trainer: str) -> tuple[Network, TrainReport]:
@@ -301,8 +312,8 @@ def _train_kar(x, y, cfg: KarConfig, trainer: str) -> tuple[Network, TrainReport
         weights[k - 1] = _guarded_uniform(rng, shapes[k - 1], GUARD_KAPPA, GUARD_TRIES)
 
     # peeling chain: invert the random layers off the transformed targets,
-    # outermost first; records one target matrix per layer
-    ones = np.ones((xm.shape[0], 1))
+    # outermost first (the bias row broadcasts: 1 w_k^T bit for bit); records
+    # one target matrix per layer
     peeled: list[np.ndarray | None] = [None] * (n + 1)
     peeled[n] = apply_phi(transform, ym)
     for k in range(n, 1, -1):
@@ -310,24 +321,27 @@ def _train_kar(x, y, cfg: KarConfig, trainer: str) -> tuple[Network, TrainReport
         node_inv = require_rank(
             pinv(wk[1:, :], rcond=cfg.rcond), f"random node block of layer {k}"
         ).pinv
-        raw = (peeled[k] - ones @ wk[0:1, :]) @ node_inv
+        raw = (peeled[k] - wk[0, :]) @ node_inv
         peeled[k - 1] = apply_phi(pair, _finite_or_raise(raw, k, "peeled target"))
+        del raw
     counter.chains += 1
 
     # first layer from the fully peeled target, then layers 2..n in order,
-    # each against its peeled target with the layers behind it still random
-    x_aug = add_bias_column(xm)
-    weights[0] = _solve(x_aug, peeled[1], cfg.rcond, counter, "input matrix")
-    a = x_aug
+    # each against its peeled target with the layers behind it still random;
+    # solved targets and pre-activations are dropped before the next solve
+    a = add_bias_column(xm)
+    weights[0] = _solve(a, peeled[1], cfg.rcond, counter, "input matrix")
     for k in range(2, n + 1):
+        peeled[k - 1] = None
         z = _finite_or_raise(a @ weights[k - 2], k - 1, "pre-activation")
         a = add_bias_column(apply_f(pair, z))
+        del z
         weights[k - 1] = _solve(
             a, peeled[k], cfg.rcond, counter, f"activation matrix of layer {k}"
         )
 
     net = Network(spec=spec, weights=list(weights))
-    return net, _finish_report(trainer, net, xm, ym, cfg, counter, t0, "uniform(0,1)")
+    return net, _finish_report(trainer, net, a, peeled[n], ym, cfg, counter, t0, "uniform(0,1)")
 
 
 def train_two_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
@@ -404,8 +418,7 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
         else:
             w = _centered_ridge(rng, a, h)
         weights.append(w)
-        z = _finite_or_raise(a @ w, k, "pre-activation")
-        a = add_bias_column(apply_f(pair, z))
+        a = add_bias_column(apply_f(pair, _finite_or_raise(a @ w, k, "pre-activation")))
 
     target = apply_phi(transform, ym)
     if spec.n_layers == 2:
@@ -417,5 +430,5 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
 
     net = Network(spec=spec, weights=weights)
     return net, _finish_report(
-        "kar-representation", net, xm, ym, cfg, counter, t0, "convex-combination"
+        "kar-representation", net, a, target, ym, cfg, counter, t0, "convex-combination"
     )

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from karnet import ConfigError, apply_f, apply_phi, get_pair
 
@@ -72,6 +75,46 @@ class TestPairProperties:
                    apply_f(PAIR, (x - h).reshape(1, -1))) / (2 * h)
         analytic = PAIR.forward_deriv(x.reshape(1, -1))
         np.testing.assert_allclose(numeric, analytic, rtol=1e-5)
+
+
+def _old_apply_f(m):
+    a = np.clip(np.asarray(m, dtype=np.float64), PAIR.lo + PAIR.clamp_eps,
+                PAIR.hi - PAIR.clamp_eps)
+    return np.log(a / (1.0 - a))
+
+
+def _old_apply_phi(m):
+    z = np.clip(np.asarray(m, dtype=np.float64), -700.0, 700.0)
+    return np.clip(1.0 / (1.0 + np.exp(-z)), PAIR.lo + PAIR.clamp_eps,
+                   PAIR.hi - PAIR.clamp_eps)
+
+
+_ELEMENTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e-6, 1.0 + 1e-6),
+    st.floats(-800.0, 800.0),
+)
+
+
+class TestInPlaceEvaluation:
+    """apply_f and apply_phi work in buffers they allocate themselves: the
+    results are the bits of the plain expressions and the input is untouched."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=12),
+                      elements=_ELEMENTS))
+    def test_matches_plain_expressions_bit_for_bit(self, m):
+        for view in (m, m.T, m[::2] if m.ndim else m):
+            before = view.copy()
+            for new, old in ((apply_f, _old_apply_f), (apply_phi, _old_apply_phi)):
+                got, want = np.asarray(new(PAIR, view)), np.asarray(old(view))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert view.tobytes() == before.tobytes()
+
+    def test_python_scalar(self):
+        assert float(apply_f(PAIR, 0.3)) == float(_old_apply_f(0.3))
+        assert float(apply_phi(PAIR, 0.3)) == float(_old_apply_phi(0.3))
 
 
 def test_unknown_pair_name():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from karnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from karnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 
 def run_cli(*argv):
@@ -220,3 +220,35 @@ class TestFailureContract:
         )
         assert code == EXIT_DATA
         assert "Traceback" not in err and "bristly" in err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0.1,0.2,0.3,a\n0.3,0.1,0.2,b\n",  # 3 features for a 4-input net
+            "0.1,0.2,0.3,0.4,a\n0.3,0.1,0.2,0.5,b\n",  # 2 classes for 3 outputs
+        ],
+    )
+    def test_eval_shape_mismatch_without_train_report_is_data_error(self, tmp_path, rows):
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", "iris", "--layers", "5",
+                       "--out", str(out)) == EXIT_OK
+        (out / "report.json").unlink()
+        data = tmp_path / "other.csv"
+        data.write_text(rows)
+        code, err = run_cli_process(
+            "eval", "--data", str(data), "--weights", str(out / "weights.json"),
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_DATA
+        assert "Traceback" not in err and "the network takes 4" in err
+
+    def test_gd_overflow_is_numerical_error(self, tmp_path):
+        """Weights that overflow leave the clamped output loss finite; the
+        fit must still fail rather than write Infinity into a report."""
+        code, err = run_cli_process(
+            "train", "--data", "iris", "--layers", "3", "--trainer", "gd",
+            "--learning-rate", "1e200", "--max-iters", "5", "--out", str(tmp_path),
+        )
+        assert code == EXIT_NUMERIC
+        assert "Traceback" not in err and "non-finite" in err
+        assert not (tmp_path / "report.json").exists()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from karnet import ConfigError, ExperimentConfig, classify, error_rate
-from karnet.experiments import run_cv, run_iris_sweep, run_xor_demo
+from karnet.errors import NumericalError
+from karnet.experiments import run_cv, run_iris_sweep, run_xor_demo, write_report
 
 
 def strip_wall_times(obj):
@@ -140,6 +141,23 @@ class TestRunCv:
         parts = sum(r["select_wall_time"] + r["train_wall_time"] for r in rows)
         assert rep["aggregate"]["total_wall_time"] >= parts * (1 - 1e-12)
 
+    def test_inner_folds_scaled_once(self, tmp_path, monkeypatch):
+        """Model selection scales each inner fold once, not once per grid value."""
+        import karnet.experiments as experiments
+
+        calls = []
+        original = experiments.scale_minmax
+
+        def counting(ds, eps):
+            calls.append(ds.n_samples)
+            return original(ds, eps)
+
+        monkeypatch.setattr(experiments, "scale_minmax", counting)
+        folds = 3
+        run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path), seed=0, trials=1,
+                                folds=folds, grid=(1, 2, 5), pattern="exp2"))
+        assert len(calls) == folds + folds * folds  # outer folds + their inner folds
+
     def test_requires_labels_and_arch(self, tmp_path):
         with pytest.raises(ConfigError):
             run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path)))
@@ -155,3 +173,12 @@ class TestRunCv:
                 folds=4, layers=(8,))))
         a, b = (json.dumps(strip_wall_times(r), sort_keys=True) for r in reports)
         assert a == b
+
+
+class TestWriteReport:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_is_numerical_error(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(NumericalError, match="non-finite"):
+            write_report({"rows": [{"sse": 1.0}, {"sse": value}]}, path)
+        assert not path.exists()

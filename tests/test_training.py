@@ -210,6 +210,56 @@ class TestRandomHidden:
         assert max(sses) <= 1e-6
 
 
+class TestReportFromOwnActivations:
+    """Trainers score their fit from the activations they built; every report
+    field must equal what a fresh forward pass and transformed_sse give."""
+
+    @pytest.mark.parametrize(
+        "trainer, hidden",
+        [
+            (train_single_layer, ()),
+            (train_two_layer, (20,)),
+            (train_n_layer, (40, 20, 10)),  # exp4 at h = 10
+            (train_random_hidden, (20,)),  # output bias row pinned at zero
+            (train_random_hidden, (12, 12, 12)),
+        ],
+    )
+    def test_report_equals_recomputed_fields(self, trainer, hidden):
+        from karnet import load_iris, scale_minmax
+        from karnet.training import classification_error_rate
+
+        ds = scale_minmax(load_iris(), 0.01)
+        for seed in range(3):
+            cfg = KarConfig(spec=spec_for(ds.x, ds.y, hidden, seed=seed))
+            net, rep = trainer(ds.x, ds.y, cfg)
+            g = forward(net, ds.x)
+            assert rep.train_sse == float(np.sum((g - ds.y) ** 2))
+            assert rep.train_sse_transformed == transformed_sse(net, ds.x, ds.y)
+            assert rep.train_error_rate == classification_error_rate(g, ds.y)
+
+    def test_fit_working_set_is_a_small_multiple_of_the_output_matrix(self):
+        """Peak traced memory of one tall fit stays within 4x the bytes of
+        [1, G_1]: the matrix, its SVD factor and its pseudoinverse."""
+        import tracemalloc
+
+        m, d, h, q = 5000, 16, 256, 4
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.01, 0.99, size=(m, d))
+        y = np.eye(q)[rng.integers(0, q, size=m)]
+        cfg = KarConfig(spec=spec_for(x, y, (h,), seed=3))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train_n_layer(x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 4 * m * (h + 1) * 8
+
+
 def _hidden_full_rank(net, x, m):
     from karnet.network import add_bias_column
     from karnet import apply_f
