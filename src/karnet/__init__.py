@@ -30,14 +30,7 @@ from .errors import (
     NumericalError,
     RankDeficiencyError,
 )
-from .experiments import (
-    ExperimentConfig,
-    classify,
-    error_rate,
-    run_cv,
-    run_iris_sweep,
-    run_xor_demo,
-)
+from .experiments import ExperimentConfig, run_cv, run_iris_sweep, run_xor_demo
 from .gradient_descent import GdConfig, check_gradient, train_gd
 from .linalg import PinvResult, pinv, solve_least_squares, sse
 from .network import (
@@ -50,15 +43,7 @@ from .network import (
     random_init,
     save_network,
 )
-from .training import (
-    KarConfig,
-    TrainReport,
-    train_n_layer,
-    train_random_hidden,
-    train_single_layer,
-    train_two_layer,
-    transformed_sse,
-)
+from .training import KarConfig, TrainReport, error_rate, train_n_layer, train_random_hidden
 
 __version__ = "0.1.0"
 
@@ -84,8 +69,6 @@ __all__ = [
     "NumericalError",
     "RankDeficiencyError",
     "ExperimentConfig",
-    "classify",
-    "error_rate",
     "run_cv",
     "run_iris_sweep",
     "run_xor_demo",
@@ -106,9 +89,7 @@ __all__ = [
     "load_network",
     "KarConfig",
     "TrainReport",
-    "train_single_layer",
-    "train_two_layer",
+    "error_rate",
     "train_n_layer",
     "train_random_hidden",
-    "transformed_sse",
 ]

@@ -35,10 +35,10 @@ class ActivationPair:
     name: str
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
+    forward_deriv: Callable[[np.ndarray], np.ndarray]
     lo: float
     hi: float
     clamp_eps: float = DEFAULT_CLAMP_EPS
-    forward_deriv: Callable[[np.ndarray], np.ndarray] | None = None
 
     def clamp(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.clip(m, self.lo + self.clamp_eps, self.hi - self.clamp_eps, out=out)
@@ -85,13 +85,9 @@ LOGIT_SIGMOID = ActivationPair(
     forward_deriv=_logit_deriv,
 )
 
-_REGISTRY = {LOGIT_SIGMOID.name: LOGIT_SIGMOID}
-
 
 def get_pair(name: str) -> ActivationPair:
-    """Look up an activation pair by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigError(f"unknown activation pair {name!r} (known: {known})") from None
+    """Look up an activation pair by name; logit-sigmoid is the only one."""
+    if name != LOGIT_SIGMOID.name:
+        raise ConfigError(f"unknown activation pair {name!r} (known: {LOGIT_SIGMOID.name})")
+    return LOGIT_SIGMOID

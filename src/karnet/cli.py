@@ -32,13 +32,10 @@ EXIT_NUMERIC = 4
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a bad one raises ValueError, which argparse
+    and the config-file reader both report as a configuration error."""
     text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+    return tuple(int(tok) for tok in text.split(",")) if text else ()
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -66,84 +63,61 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = {
-    "data": str,
-    "label-col": int,
-    "header": lambda v: v.lower() in ("1", "true", "yes"),
-    "layers": _parse_int_list,
-    "pattern": str,
-    "trainer": str,
-    "seed": int,
-    "trials": int,
-    "folds": int,
-    "grid": _parse_grid,
-    "out": str,
-    "scale-eps": float,
-    "rcond": float,
-    "learning-rate": float,
-    "max-iters": int,
-    "gradient-clip": float,
-}
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# One row per run option: (key, ExperimentConfig field, text parser, help).
+# The flag --<key> and the config-file line "<key> = value" both set the
+# field; a bool option's flag takes no value.  Defaults come from
+# ExperimentConfig alone.
+_OPTIONS = (
+    ("data", "dataset", str, "CSV path or builtin name (xor, xor-ideal, iris)"),
+    ("label-col", "label_col", int, "label column index"),
+    ("header", "has_header", _parse_bool, "CSV has a header row"),
+    ("layers", "layers", _parse_int_list, "hidden sizes, e.g. 90 or 3,3,3,3"),
+    ("pattern", "pattern", str, "architecture pattern for grid values: fixed, exp2, exp3, exp4"),
+    ("trainer", "trainer", str, "training algorithm: kar or gd"),
+    ("seed", "seed", int, "master seed"),
+    ("trials", "trials", int, "number of repeated trials"),
+    ("folds", "folds", int, "cross-validation folds"),
+    ("grid", "grid", _parse_grid, "hidden-size sweep grid: comma list or 'paper'"),
+    ("out", "out", str, "output directory"),
+    ("scale-eps", "scale_eps", float, "feature scaling margin inside (0, 0.5)"),
+    ("rcond", "rcond", float, "pseudoinverse cutoff override"),
+    ("learning-rate", "learning_rate", float, "gradient-descent step size"),
+    ("max-iters", "max_iters", int, "gradient-descent iterations"),
+    ("gradient-clip", "gradient_clip", float, "gradient-descent global norm clip"),
+)
 
 
 def build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config-file values with flags; flags win."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        raw = read_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
+    values: dict = {}
+    if args.config:
+        fields = {key: (name, parse) for key, name, parse, _ in _OPTIONS}
+        for key, text in read_config_file(args.config).items():
+            if key not in fields:
                 raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_KEYS[key](value)
-
-    def pick(flag_name: str, key: str, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        return merged.get(key, default)
-
-    return ExperimentConfig(
-        dataset=pick("data", "data", "iris"),
-        label_col=pick("label_col", "label-col", -1),
-        has_header=pick("header", "header", False),
-        layers=pick("layers", "layers", ()),
-        pattern=pick("pattern", "pattern", "fixed"),
-        trainer=pick("trainer", "trainer", "kar"),
-        seed=pick("seed", "seed", 0),
-        trials=pick("trials", "trials", 10),
-        folds=pick("folds", "folds", 10),
-        grid=pick("grid", "grid", ()),
-        out=pick("out", "out", "."),
-        scale_eps=pick("scale_eps", "scale-eps", 0.01),
-        rcond=pick("rcond", "rcond", None),
-        learning_rate=pick("learning_rate", "learning-rate", 0.01),
-        max_iters=pick("max_iters", "max-iters", 500),
-        gradient_clip=pick("gradient_clip", "gradient-clip", None),
-    )
+            name, parse = fields[key]
+            try:
+                values[name] = parse(text)
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: bad value {text!r}") from None
+    for _, name, _, _ in _OPTIONS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    return ExperimentConfig(**values)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--data", help="CSV path or builtin name (xor, xor-ideal, iris)")
-    p.add_argument("--label-col", dest="label_col", type=int, help="label column index")
-    p.add_argument("--header", action="store_const", const=True, default=None,
-                   help="CSV has a header row")
-    p.add_argument("--layers", type=_parse_int_list, help="hidden sizes, e.g. 90 or 3,3,3,3")
-    p.add_argument("--pattern", choices=("fixed", "exp2", "exp3", "exp4"),
-                   help="architecture pattern for grid values")
-    p.add_argument("--trainer", choices=("kar", "gd"), help="training algorithm")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--trials", type=int, help="number of repeated trials")
-    p.add_argument("--folds", type=int, help="cross-validation folds")
-    p.add_argument("--grid", type=_parse_grid,
-                   help="hidden-size sweep grid: comma list or 'paper'")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--scale-eps", dest="scale_eps", type=float,
-                   help="feature scaling margin inside (0, 0.5)")
-    p.add_argument("--rcond", type=float, help="pseudoinverse cutoff override")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--gradient-clip", dest="gradient_clip", type=float)
+    for key, name, parse, help_text in _OPTIONS:
+        if parse is _parse_bool:
+            p.add_argument(f"--{key}", dest=name, action="store_const", const=True,
+                           help=help_text)
+        else:
+            p.add_argument(f"--{key}", dest=name, type=parse, help=help_text)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -215,6 +189,9 @@ def main(argv=None) -> int:
     except KarnetError as exc:  # any remaining package error is numerical-ish
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # reads raise DataError; this is an output that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps({"command": args.command, "out": cfg.out,
                       "summary": _summarize(report)}))
     return EXIT_OK

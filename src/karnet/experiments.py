@@ -30,18 +30,11 @@ from .data import (
 from .errors import ConfigError, DataError, NumericalError
 from .gradient_descent import GdConfig, train_gd
 from .network import Network, NetworkSpec, forward
-from .training import (
-    KarConfig,
-    train_n_layer,
-    train_random_hidden,
-    train_single_layer,
-)
+from .training import KarConfig, error_rate, train_n_layer, train_random_hidden
 
 __all__ = [
     "PAPER_GRID",
     "ExperimentConfig",
-    "classify",
-    "error_rate",
     "run_xor_demo",
     "run_iris_sweep",
     "run_cv",
@@ -94,19 +87,6 @@ class ExperimentConfig:
         return self.layers
 
 
-def classify(outputs) -> np.ndarray:
-    """Row-wise argmax decode of one-vs-all outputs; ties break low."""
-    m = np.asarray(outputs, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] < 2:
-        raise ConfigError("classify requires at least two output columns")
-    return np.argmax(m, axis=1)
-
-
-def error_rate(outputs, labels) -> float:
-    """Fraction of rows whose decoded class differs from the given label."""
-    return float(np.mean(classify(outputs) != np.asarray(labels)))
-
-
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
     name = cfg.dataset
     if name == "xor":
@@ -127,16 +107,12 @@ def _train_once(
     if cfg.trainer == "gd":
         gcfg = GdConfig(
             spec=spec,
-            seed=seed,
             learning_rate=cfg.learning_rate,
             max_iters=cfg.max_iters,
             gradient_clip=cfg.gradient_clip,
         )
         return train_gd(x, y, gcfg)
-    kcfg = KarConfig(spec=spec, seed=seed, rcond=cfg.rcond)
-    if spec.n_layers == 1:
-        return train_single_layer(x, y, kcfg)
-    return train_n_layer(x, y, kcfg)
+    return train_n_layer(x, y, KarConfig(spec=spec, rcond=cfg.rcond))
 
 
 def _unit_seed(*parts: int) -> int:
@@ -243,7 +219,7 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
             net, rep = train_random_hidden(
                 train.x, train.y, KarConfig(spec=spec, rcond=cfg.rcond)
             )
-            test_err = error_rate(forward(net, test.x), test.labels)
+            test_err = error_rate(forward(net, test.x), test.y)
             rows.append(
                 [int(h), trial, repr(rep.train_sse), repr(rep.train_sse_transformed),
                  repr(rep.train_error_rate), repr(test_err)]
@@ -300,7 +276,7 @@ def _select_hidden(
         for fold, (tr_s, va_s) in enumerate(scaled):
             seed = _unit_seed(trial_seed, h, fold)
             net, _ = _train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(int(h)), seed)
-            accs.append(1.0 - error_rate(forward(net, va_s.x), va_s.labels))
+            accs.append(1.0 - error_rate(forward(net, va_s.x), va_s.y))
         mean_acc = float(np.mean(accs))
         if mean_acc > best_acc:
             best_h, best_acc = int(h), mean_acc
@@ -346,7 +322,7 @@ def run_cv(cfg: ExperimentConfig) -> dict:
             t0 = time.perf_counter()
             net, rep = _train_once(cfg, train_s.x, train_s.y, hidden, seed)
             train_time = time.perf_counter() - t0
-            acc = 1.0 - error_rate(forward(net, test_s.x), test_s.labels)
+            acc = 1.0 - error_rate(forward(net, test_s.x), test_s.y)
             rows.append(
                 {
                     "trial": trial,
@@ -473,7 +449,7 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
         "scaling_reused": scaling is not None,
     }
     if ds.labels is not None and ds.class_count >= 2:
-        report["error_rate"] = error_rate(g, ds.labels)
+        report["error_rate"] = error_rate(g, scaled.y)
         report["accuracy"] = 1.0 - report["error_rate"]
     write_report(report, outdir / "eval_report.json")
     return report

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import apply_phi
 from .errors import ConfigError, NumericalError
 from .linalg import as_matrix
-from .network import Network, NetworkSpec, add_bias_column, forward
-from .training import TrainReport, _check_xy, classification_error_rate, transformed_sse
+from .network import Network, NetworkSpec, forward
+from .training import TrainReport, _check_xy, _finish_report
 
 __all__ = [
     "GdConfig",
@@ -34,10 +35,8 @@ class GdConfig:
     """Gradient-descent settings; learning_rate > 0 and max_iters >= 1."""
 
     spec: NetworkSpec
-    seed: int | None = None
     learning_rate: float = 0.01
     max_iters: int = 500
-    sse_tolerance: float = 0.0
     gradient_clip: float | None = None
 
     def __post_init__(self):
@@ -45,10 +44,6 @@ class GdConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-
-    @property
-    def effective_seed(self) -> int:
-        return self.spec.seed if self.seed is None else self.seed
 
 
 def initial_network(cfg: GdConfig) -> Network:
@@ -62,7 +57,7 @@ def initial_network(cfg: GdConfig) -> Network:
     with its bias weight placed so the pre-activation of a mid-domain
     input sits at the domain center.
     """
-    rng = np.random.default_rng(cfg.effective_seed)
+    rng = np.random.default_rng(cfg.spec.seed)
     pair = cfg.spec.pair()
     mid = 0.5 * (pair.lo + pair.hi)
     weights = []
@@ -77,50 +72,30 @@ def initial_network(cfg: GdConfig) -> Network:
     return Network(spec=cfg.spec, weights=weights)
 
 
-def _forward_cached(net: Network, x: np.ndarray):
-    """Forward pass keeping per-layer inputs, clamped pre-activations, and
-    the clamp-active masks needed for the backward pass."""
-    pair = net.spec.pair()
-    lo, hi = pair.lo + pair.clamp_eps, pair.hi - pair.clamp_eps
-    a = add_bias_column(x)
-    inputs, clamped, masks = [], [], []
-    g = None
-    for w in net.weights:
-        z = a @ w
-        c = np.clip(z, lo, hi)
-        inputs.append(a)
-        clamped.append(c)
-        masks.append((z > lo) & (z < hi))
-        g = pair.forward(c)
-        a = add_bias_column(g)
-    return g, inputs, clamped, masks
-
-
 def sse_and_gradients(net: Network, x, y):
     """Output-space SSE and its gradient with respect to every weight."""
     xm = as_matrix(x, "x")
     ym = as_matrix(y, "y")
     pair = net.spec.pair()
-    if pair.forward_deriv is None:
-        raise ConfigError(f"activation {pair.name!r} has no derivative")
-    g, inputs, clamped, masks = _forward_cached(net, xm)
-    resid = g - ym
+    lo, hi = pair.lo + pair.clamp_eps, pair.hi - pair.clamp_eps
+    cache: list = []
+    resid = forward(net, xm, cache) - ym
     loss = float(np.sum(resid * resid))
-    delta = 2.0 * resid * pair.forward_deriv(clamped[-1]) * masks[-1]
+    # f'(c) at each layer's clamped pre-activation c, zeroed where the clamp
+    # was active; testing c against the band equals testing the unclamped value
+    delta = 2.0 * resid
     grads = [None] * len(net.weights)
     for k in range(len(net.weights) - 1, -1, -1):
-        grads[k] = inputs[k].T @ delta
+        a, c = cache[2 * k], cache[2 * k + 1]
+        delta = delta * pair.forward_deriv(c) * ((c > lo) & (c < hi))
+        grads[k] = a.T @ delta
         if k > 0:
-            back = (delta @ net.weights[k].T)[:, 1:]
-            delta = back * pair.forward_deriv(clamped[k - 1]) * masks[k - 1]
+            delta = (delta @ net.weights[k].T)[:, 1:]
     return loss, grads
 
 
 def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
-    """Full-batch descent on output-space SSE.
-
-    Stops at ``max_iters`` or when the SSE drops below ``sse_tolerance``.
-    """
+    """Full-batch descent on output-space SSE for ``max_iters`` steps."""
     t0 = time.perf_counter()
     xm, ym = _check_xy(x, y)
     if cfg.spec.input_dim != xm.shape[1] or cfg.spec.output_dim != ym.shape[1]:
@@ -129,39 +104,22 @@ def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
             f"match data dims ({xm.shape[1]}, {ym.shape[1]})"
         )
     net = initial_network(cfg)
-    loss = None
-    used = 0
     for it in range(cfg.max_iters):
         loss, grads = sse_and_gradients(net, xm, ym)
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite loss at iteration {it}")
-        if loss < cfg.sse_tolerance:
-            break
         if cfg.gradient_clip is not None:
             gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
             if gnorm > cfg.gradient_clip:
                 grads = [g * (cfg.gradient_clip / gnorm) for g in grads]
         for w, g in zip(net.weights, grads):
             w -= cfg.learning_rate * g
-        used = it + 1
-    final_loss, _ = sse_and_gradients(net, xm, ym)
-    if not np.isfinite(final_loss):
-        raise NumericalError(f"non-finite loss at iteration {used}")
-
-    g = forward(net, xm)
-    report = TrainReport(
-        trainer="gd",
-        train_sse=float(np.sum((g - ym) ** 2)),
-        train_sse_transformed=transformed_sse(net, xm, ym),
-        train_error_rate=classification_error_rate(g, ym),
-        wall_time=time.perf_counter() - t0,
-        seed=cfg.effective_seed,
-        spec=cfg.spec.to_dict(),
-        weight_norms=[float(np.linalg.norm(w)) for w in net.weights],
-        iterations=used,
-        init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
+    cache: list = []
+    forward(net, xm, cache)
+    return net, _finish_report(
+        net, cache[-2], apply_phi(net.spec.pair(), ym), ym, t0, trainer="gd",
+        iterations=cfg.max_iters, init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
     )
-    return net, report
 
 
 def check_gradient(net: Network, x, y, step: float = 1e-5) -> float:

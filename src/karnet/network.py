@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationPair, apply_f, get_pair
+from .activations import ActivationPair, get_pair
 from .errors import ConfigError, DataError, DimensionError, KarnetError
 
 __all__ = [
@@ -102,22 +102,19 @@ class Network:
                     f"layer {k} weight shape {w.shape} != expected {shape}"
                 )
 
-    def bias_row(self, k: int) -> np.ndarray:
-        """Bias-weight row of layer k (1-indexed)."""
-        return self.weights[k - 1][0, :]
-
-    def node_block(self, k: int) -> np.ndarray:
-        """Node-weight block of layer k (everything below the bias row)."""
-        return self.weights[k - 1][1:, :]
-
 
 def add_bias_column(x: np.ndarray) -> np.ndarray:
     """Prepend a ones-column: (m, p) -> (m, p + 1)."""
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Forward pass: activation applied after every layer's matrix product."""
+def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
+    """Forward pass: activation applied after every layer's matrix product.
+
+    Given a ``cache`` list, each layer appends its input ``[1, G_{k-1}]``
+    and its pre-activation clamped into the activation domain, in that
+    order; backpropagation reads them from there.
+    """
     xm = np.asarray(x, dtype=np.float64)
     if xm.ndim != 2 or xm.shape[1] != net.spec.input_dim:
         raise DimensionError(
@@ -127,7 +124,11 @@ def forward(net: Network, x) -> np.ndarray:
     a = add_bias_column(xm)
     g = None
     for w in net.weights:
-        g = apply_f(pair, a @ w)
+        z = a @ w
+        pair.clamp(z, out=z)
+        if cache is not None:
+            cache += (a, z)
+        g = pair.forward(z)
         a = add_bias_column(g)
     return g
 

@@ -4,7 +4,7 @@ The single-pass trainer works on the transformed linear systems obtained by
 inverting the activation around each layer.  With the inverse transform phi
 and targets Y:
 
-* single layer: ``W1 = pinv([1, X]) @ phi(Y)``.
+* one layer: ``W1 = pinv([1, X]) @ phi(Y)``.
 * n layers: later layers are assigned random weights; peeling the bias
   row w_k and node block of each random layer off the transformed targets
   from the outside in yields a target matrix for every layer,
@@ -18,8 +18,9 @@ and targets Y:
   that point in the sweep still hold their random initialization, so the
   peel values are computed once and reused.
 
-Training therefore performs exactly n data-side pseudoinverse solves plus
-one peeling chain, which the report records.
+Training therefore performs exactly n data-side pseudoinverse solves plus,
+for n >= 2, one peeling chain, which the report records.  A one-layer net
+is the case with no random layer to peel.
 
 A separate representation-mode trainer keeps the hidden layers random and
 solves only the output layer; it exists to study how network size relates
@@ -34,20 +35,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationPair, apply_f, apply_phi, get_pair
+from .activations import apply_f, apply_phi
 from .errors import ConfigError, DimensionError, NumericalError
 from .linalg import as_matrix, pinv, require_rank
-# forward is not called here; bench/tracing.py wraps karnet.training.forward by name
-from .network import Network, NetworkSpec, add_bias_column, forward  # noqa: F401
+from .network import Network, NetworkSpec, add_bias_column
 
 __all__ = [
     "KarConfig",
     "TrainReport",
-    "train_single_layer",
-    "train_two_layer",
+    "error_rate",
     "train_n_layer",
     "train_random_hidden",
-    "transformed_sse",
 ]
 
 GUARD_KAPPA = 10.0
@@ -58,26 +56,14 @@ GUARD_TRIES = 20
 class KarConfig:
     """Configuration for the analytic trainers.
 
-    ``seed`` overrides the spec seed for the random layer initialization
-    when given.  ``target_transform`` names the activation pair whose
-    inverse is applied to the targets; it defaults to the spec's pair.
-    Random layer draws whose node block has condition number above
-    ``GUARD_KAPPA`` are redrawn (up to ``GUARD_TRIES`` times) to guard
-    against degenerate initializations.
+    The spec's seed draws the random layers; ``rcond`` overrides the
+    pseudoinverse cutoff.  Random layer draws whose node block has
+    condition number above ``GUARD_KAPPA`` are redrawn (up to
+    ``GUARD_TRIES`` times) to guard against degenerate initializations.
     """
 
     spec: NetworkSpec
-    seed: int | None = None
     rcond: float | None = None
-    target_transform: str | None = None
-
-    @property
-    def effective_seed(self) -> int:
-        return self.spec.seed if self.seed is None else self.seed
-
-    def transform_pair(self) -> ActivationPair:
-        name = self.target_transform or self.spec.activation
-        return get_pair(name)
 
 
 @dataclass
@@ -122,32 +108,16 @@ class TrainReport:
         return d
 
 
-def classification_error_rate(outputs: np.ndarray, targets: np.ndarray) -> float:
+def error_rate(outputs, targets) -> float:
     """Fraction of rows whose decoded class disagrees with the target's.
 
-    Multi-column outputs decode by row argmax; single-column outputs by
-    thresholding at 0.5.
+    Multi-column outputs and targets decode by row argmax, ties breaking
+    low; single-column ones by thresholding at 0.5.
     """
+    outputs, targets = np.asarray(outputs), np.asarray(targets)
     if outputs.shape[1] >= 2:
         return float(np.mean(np.argmax(outputs, axis=1) != np.argmax(targets, axis=1)))
     return float(np.mean((outputs[:, 0] > 0.5) != (targets[:, 0] > 0.5)))
-
-
-def transformed_sse(net: Network, x, y, transform: ActivationPair | None = None) -> float:
-    """SSE of the final linear system against the transformed targets.
-
-    Runs the forward pass up to the last layer's matrix product and
-    compares it with ``phi(Y)`` (no final activation applied).
-    """
-    xm = as_matrix(x, "x")
-    ym = as_matrix(y, "y")
-    pair = net.spec.pair()
-    transform = transform or pair
-    a = add_bias_column(xm)
-    for w in net.weights[:-1]:
-        a = add_bias_column(apply_f(pair, a @ w))
-    r = a @ net.weights[-1] - apply_phi(transform, ym)
-    return float(np.sum(r * r))
 
 
 def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -236,74 +206,41 @@ def _finite_or_raise(m: np.ndarray, layer: int, what: str) -> np.ndarray:
     return m
 
 
-class _Counter:
-    def __init__(self):
-        self.solves = 0
-        self.chains = 0
-
-
-def _solve(a: np.ndarray, b: np.ndarray, rcond, counter: _Counter, what: str) -> np.ndarray:
-    res = require_rank(pinv(a, rcond=rcond), what)
-    counter.solves += 1
-    return res.pinv @ b
+def _solve(a: np.ndarray, b: np.ndarray, rcond, what: str) -> np.ndarray:
+    return require_rank(pinv(a, rcond=rcond), what).pinv @ b
 
 
 def _finish_report(
-    trainer: str,
-    net: Network,
-    a: np.ndarray,
-    target: np.ndarray,
-    y: np.ndarray,
-    cfg: KarConfig,
-    counter: _Counter,
-    t0: float,
-    init_style: str,
+    net: Network, a: np.ndarray, target: np.ndarray, y: np.ndarray, t0: float, **fields
 ) -> TrainReport:
-    """Score the fit from the output layer's input ``a`` and transformed target,
-    bit for bit as ``forward`` and ``transformed_sse`` would, with no new pass."""
+    """Score the fit from the output layer's input ``a`` and transformed
+    target, bit for bit as a fresh ``forward`` would, with no new pass.
+    ``fields`` name the trainer and its counts."""
     z = a @ net.weights[-1]
     r = z - target
     g = apply_f(net.spec.pair(), z)
     return TrainReport(
-        trainer=trainer,
         train_sse=float(np.sum((g - y) ** 2)),
         train_sse_transformed=float(np.sum(r * r)),
-        train_error_rate=classification_error_rate(g, y),
+        train_error_rate=error_rate(g, y),
         wall_time=time.perf_counter() - t0,
-        seed=cfg.effective_seed,
-        spec=cfg.spec.to_dict(),
+        seed=net.spec.seed,
+        spec=net.spec.to_dict(),
         weight_norms=[float(np.linalg.norm(w)) for w in net.weights],
-        solve_count=counter.solves,
-        peel_chains=counter.chains,
-        init_style=init_style,
+        **fields,
     )
 
 
-def train_single_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
-    """Solve a one-layer network directly: ``W1 = pinv([1, X]) @ phi(Y)``."""
-    t0 = time.perf_counter()
-    xm, ym = _check_xy(x, y)
-    _check_spec(cfg, xm, ym)
-    if cfg.spec.n_layers != 1:
-        raise ConfigError("train_single_layer requires a spec with no hidden layer")
-    counter = _Counter()
-    target = apply_phi(cfg.transform_pair(), ym)
-    a = add_bias_column(xm)
-    w1 = _solve(a, target, cfg.rcond, counter, "input matrix")
-    net = Network(spec=cfg.spec, weights=[w1])
-    return net, _finish_report("kar", net, a, target, ym, cfg, counter, t0, "n/a")
-
-
-def _train_kar(x, y, cfg: KarConfig, trainer: str) -> tuple[Network, TrainReport]:
+def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
+    """Single-pass analytic trainer for n >= 1 layers; with n = 1 there is
+    no random layer and the peeling chain is empty."""
     t0 = time.perf_counter()
     xm, ym = _check_xy(x, y)
     _check_spec(cfg, xm, ym)
     spec = cfg.spec
     n = spec.n_layers
     pair = spec.pair()
-    transform = cfg.transform_pair()
-    counter = _Counter()
-    rng = np.random.default_rng(cfg.effective_seed)
+    rng = np.random.default_rng(spec.seed)
     shapes = spec.weight_shapes
 
     # random initialization of layers 2..n (bias rows and node blocks)
@@ -315,7 +252,7 @@ def _train_kar(x, y, cfg: KarConfig, trainer: str) -> tuple[Network, TrainReport
     # outermost first (the bias row broadcasts: 1 w_k^T bit for bit); records
     # one target matrix per layer
     peeled: list[np.ndarray | None] = [None] * (n + 1)
-    peeled[n] = apply_phi(transform, ym)
+    peeled[n] = apply_phi(pair, ym)
     for k in range(n, 1, -1):
         wk = weights[k - 1]
         node_inv = require_rank(
@@ -324,40 +261,26 @@ def _train_kar(x, y, cfg: KarConfig, trainer: str) -> tuple[Network, TrainReport
         raw = (peeled[k] - wk[0, :]) @ node_inv
         peeled[k - 1] = apply_phi(pair, _finite_or_raise(raw, k, "peeled target"))
         del raw
-    counter.chains += 1
 
     # first layer from the fully peeled target, then layers 2..n in order,
     # each against its peeled target with the layers behind it still random;
     # solved targets and pre-activations are dropped before the next solve
     a = add_bias_column(xm)
-    weights[0] = _solve(a, peeled[1], cfg.rcond, counter, "input matrix")
+    weights[0] = _solve(a, peeled[1], cfg.rcond, "input matrix")
     for k in range(2, n + 1):
         peeled[k - 1] = None
         z = _finite_or_raise(a @ weights[k - 2], k - 1, "pre-activation")
         a = add_bias_column(apply_f(pair, z))
         del z
         weights[k - 1] = _solve(
-            a, peeled[k], cfg.rcond, counter, f"activation matrix of layer {k}"
+            a, peeled[k], cfg.rcond, f"activation matrix of layer {k}"
         )
 
     net = Network(spec=spec, weights=list(weights))
-    return net, _finish_report(trainer, net, a, peeled[n], ym, cfg, counter, t0, "uniform(0,1)")
-
-
-def train_two_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
-    """Two-layer decoupled pass: peel the random output layer, solve the
-    hidden layer, then re-solve the output layer."""
-    if len(cfg.spec.hidden) != 1:
-        raise ConfigError("train_two_layer requires exactly one hidden layer")
-    return _train_kar(x, y, cfg, "kar")
-
-
-def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
-    """General single-pass trainer for n >= 2 layers; n = 2 matches
-    train_two_layer bit for bit."""
-    if cfg.spec.n_layers < 2:
-        raise ConfigError("train_n_layer requires at least one hidden layer")
-    return _train_kar(x, y, cfg, "kar")
+    return net, _finish_report(
+        net, a, peeled[n], ym, t0, trainer="kar", solve_count=n, peel_chains=int(n > 1),
+        init_style="uniform(0,1)" if n > 1 else "n/a",
+    )
 
 
 def _convex_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -406,9 +329,7 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     if spec.n_layers < 2:
         raise ConfigError("train_random_hidden requires at least one hidden layer")
     pair = spec.pair()
-    transform = cfg.transform_pair()
-    counter = _Counter()
-    rng = np.random.default_rng(cfg.effective_seed)
+    rng = np.random.default_rng(spec.seed)
 
     weights: list[np.ndarray] = []
     a = add_bias_column(xm)
@@ -420,15 +341,16 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
         weights.append(w)
         a = add_bias_column(apply_f(pair, _finite_or_raise(a @ w, k, "pre-activation")))
 
-    target = apply_phi(transform, ym)
+    target = apply_phi(pair, ym)
     if spec.n_layers == 2:
-        node = _solve(a[:, 1:], target, cfg.rcond, counter, "hidden activation matrix")
+        node = _solve(a[:, 1:], target, cfg.rcond, "hidden activation matrix")
         w_out = np.vstack([np.zeros((1, spec.output_dim)), node])
     else:
-        w_out = _solve(a, target, cfg.rcond, counter, "hidden activation matrix")
+        w_out = _solve(a, target, cfg.rcond, "hidden activation matrix")
     weights.append(w_out)
 
     net = Network(spec=spec, weights=weights)
     return net, _finish_report(
-        "kar-representation", net, a, target, ym, cfg, counter, t0, "convex-combination"
+        net, a, target, ym, t0, trainer="kar-representation", solve_count=1,
+        peel_chains=0, init_style="convex-combination",
     )

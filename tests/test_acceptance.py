@@ -4,8 +4,8 @@ tolerance, each printing a single PASS/FAIL line.
 Criterion 6 splits in two.  6a checks the exact-fit transition of the
 representation-mode sweep (``run_iris_sweep`` / ``train_random_hidden``),
 which only promises a fit.  6b checks generalisation at h = 90 on the
-same split, scaling and trial seeds, but with the analytic two-layer
-trainer ``train_two_layer``, the package's learner: h = 90 is the
+same split, scaling and trial seeds, but with the analytic trainer
+``train_n_layer`` on a two-layer net, the package's learner: h = 90 is the
 representation sweep's interpolation threshold, where its test error
 peaks by construction, and 6b prints that peak without asserting on it.
 """
@@ -23,6 +23,7 @@ from karnet import (
     KarConfig,
     NetworkSpec,
     check_gradient,
+    error_rate,
     forward,
     make_xor,
     pinv,
@@ -32,10 +33,9 @@ from karnet import (
     train_gd,
     train_n_layer,
     train_random_hidden,
-    train_two_layer,
 )
 from karnet.data import apply_scaling, iris_train_test_split, load_iris, split_rows, stratified_folds
-from karnet.experiments import _unit_seed, error_rate, run_cv, run_iris_sweep
+from karnet.experiments import _unit_seed, run_cv, run_iris_sweep
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -134,7 +134,7 @@ def test_criterion_4_xor_reproduction():
     ds = make_xor(perturbed=True)
     passes = {}
     for name, hidden, fn in (
-        ("2-layer", (2,), train_two_layer),
+        ("2-layer", (2,), train_n_layer),
         ("5-layer", (3, 3, 3, 3), train_n_layer),
     ):
         ok = 0
@@ -227,7 +227,7 @@ def test_criterion_6b_iris_sweep_test_error_envelope(iris_sweep_result):
     training rows exactly (6a) and sits at the interpolation threshold,
     where minimum-norm random-feature fits have a known test-error peak
     (Belkin et al., PNAS 2019).  That trainer promises a fit, not
-    generalisation, so the envelope is held to ``train_two_layer``, which
+    generalisation, so the envelope is held to ``train_n_layer``, which
     solves both layers.  Split, scaling (fitted on the training rows and
     reapplied to the test rows), hidden size, the per-trial seeds the
     sweep derives and argmax decoding are all the sweep's own.  The
@@ -245,8 +245,8 @@ def test_criterion_6b_iris_sweep_test_error_envelope(iris_sweep_result):
     for trial in range(rep["trials"]):
         spec = NetworkSpec(train.n_features, (h,), train.class_count,
                            seed=_unit_seed(rep["seed"], h, trial))
-        net, _ = train_two_layer(train.x, train.y, KarConfig(spec=spec))
-        errs.append(error_rate(forward(net, test.x), test.labels))
+        net, _ = train_n_layer(train.x, train.y, KarConfig(spec=spec))
+        errs.append(error_rate(forward(net, test.x), test.y))
     test_err = float(np.mean(errs))
 
     ok = test_err < 0.15
@@ -258,7 +258,7 @@ def test_criterion_6b_iris_sweep_test_error_envelope(iris_sweep_result):
         f"interpolation-threshold peak: {peak:.3f}",
     )
     assert test_err < 0.15, (
-        f"analytic two-layer (train_two_layer) mean test error {test_err:.3f} "
+        f"analytic two-layer (train_n_layer) mean test error {test_err:.3f} "
         f"at h={h} exceeds the 0.15 envelope"
     )
 
@@ -295,7 +295,7 @@ def test_criterion_8_speed_comparison():
         train = scale_minmax(train, 0.01)
         spec = NetworkSpec(4, (90,), 3, seed=fold)
         t0 = time.perf_counter()
-        train_two_layer(train.x, train.y, KarConfig(spec=spec))
+        train_n_layer(train.x, train.y, KarConfig(spec=spec))
         kar_total += time.perf_counter() - t0
         t0 = time.perf_counter()
         train_gd(train.x, train.y, GdConfig(spec=spec, learning_rate=1e-4, max_iters=500))

@@ -44,6 +44,12 @@ class TestSubcommands:
         assert rep["scaling_reused"] is True
         assert rep["accuracy"] > 0.5
 
+    def test_eval_scores_a_single_output_by_threshold(self, tmp_path):
+        assert run_cli("train", "--data", "xor", "--layers", "2", "--out", str(tmp_path)) == EXIT_OK
+        assert run_cli("eval", "--data", "xor", "--weights", str(tmp_path / "weights.json"),
+                       "--out", str(tmp_path)) == EXIT_OK
+        assert json.loads((tmp_path / "eval_report.json").read_text())["accuracy"] == 1.0
+
     def test_cv(self, tmp_path):
         assert run_cli(
             "cv", "--data", "iris", "--layers", "5", "--trials", "1",
@@ -70,6 +76,57 @@ class TestConfigFile:
         rep = json.loads((tmp_path / "from_config" / "report.json").read_text())
         assert rep["trials"] == 1  # flag beat the config file
         assert rep["seed"] == 3    # config value survived
+
+    # (config key, value, another value, flag arguments giving the first value)
+    OPTIONS = [
+        ("data", "xor", "iris", ["--data", "xor"]),
+        ("label-col", "2", "5", ["--label-col", "2"]),
+        ("header", "yes", "no", ["--header"]),
+        ("layers", "3,3", "5", ["--layers", "3,3"]),
+        ("pattern", "exp3", "exp4", ["--pattern", "exp3"]),
+        ("trainer", "gd", "kar", ["--trainer", "gd"]),
+        ("seed", "7", "8", ["--seed", "7"]),
+        ("trials", "3", "4", ["--trials", "3"]),
+        ("folds", "4", "6", ["--folds", "4"]),
+        ("grid", "paper", "1,2", ["--grid", "paper"]),
+        ("out", "somewhere", "elsewhere", ["--out", "somewhere"]),
+        ("scale-eps", "0.05", "0.02", ["--scale-eps", "0.05"]),
+        ("rcond", "1e-08", "1e-06", ["--rcond", "1e-08"]),
+        ("learning-rate", "0.5", "0.1", ["--learning-rate", "0.5"]),
+        ("max-iters", "7", "9", ["--max-iters", "7"]),
+        ("gradient-clip", "1.5", "2.5", ["--gradient-clip", "1.5"]),
+    ]
+
+    @staticmethod
+    def _config(tmp_path, lines, flags):
+        from karnet.cli import build_experiment_config, make_parser
+
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{line}\n" for line in lines))
+        argv = ["cv", "--config", str(cfgfile), *flags]
+        return build_experiment_config(make_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("key, value, other, flags", OPTIONS, ids=[o[0] for o in OPTIONS])
+    def test_config_key_and_flag_agree(self, tmp_path, key, value, other, flags):
+        from karnet import ExperimentConfig
+
+        from_file = self._config(tmp_path, [f"{key} = {value}"], [])
+        from_flag = self._config(tmp_path, [], flags)
+        assert from_file == from_flag
+        assert from_flag != ExperimentConfig()
+        assert self._config(tmp_path, [f"{key} = {other}"], flags) == from_flag
+
+    def test_options_cover_every_field(self, tmp_path):
+        from dataclasses import asdict
+
+        from karnet import ExperimentConfig
+
+        default = asdict(ExperimentConfig())
+        changed = []
+        for _, _, _, flags in self.OPTIONS:
+            cfg = asdict(self._config(tmp_path, [], flags))
+            changed += [name for name in default if cfg[name] != default[name]]
+        assert sorted(changed) == sorted(default)
 
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
@@ -180,6 +237,36 @@ class TestFailureContract:
         )
         assert code == EXIT_CONFIG
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, config_line",
+        [(["--layers", "a,b"], ""), (["--grid", "1,x"], ""), ([], "layers = a,b"),
+         ([], "trials = many")],
+    )
+    def test_malformed_option_value_is_config_error(self, tmp_path, flags, config_line):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config_line + "\n")
+        code, err = run_cli_process(
+            "cv", "--config", str(cfgfile), *flags, "--out", str(tmp_path / "o"),
+        )
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["train", "--data", "iris", "--layers", "5"], "report.json"),
+            (["train", "--data", "iris", "--layers", "5"], "weights.json"),
+            (["iris-sweep", "--grid", "5", "--trials", "1"], "sweep.csv"),
+        ],
+    )
+    def test_unwritable_output_file_is_config_error(self, tmp_path, argv, blocked):
+        """A directory where an output file belongs cannot be written over
+        (permission bits do not stop a root user, so this is the case tested)."""
+        (tmp_path / blocked).mkdir()
+        code, err = run_cli_process(*argv, "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err and blocked in err
 
     def test_gd_report_names_signed_centred_init(self, tmp_path):
         code, err = run_cli_process(

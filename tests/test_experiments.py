@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from karnet import ConfigError, ExperimentConfig, classify, error_rate
+from karnet import ConfigError, ExperimentConfig, error_rate
 from karnet.errors import NumericalError
 from karnet.experiments import run_cv, run_iris_sweep, run_xor_demo, write_report
 
@@ -26,23 +26,21 @@ def strip_wall_times(obj):
 
 class TestClassify:
     def test_argmax_rows(self):
-        np.testing.assert_array_equal(
-            classify([[0.9, 0.1], [0.2, 0.8]]), [0, 1]
-        )
+        assert error_rate([[0.9, 0.1], [0.2, 0.8]], np.eye(2)) == 0.0
 
     def test_tie_breaks_low(self):
-        np.testing.assert_array_equal(classify([[0.5, 0.5]]), [0])
+        assert error_rate([[0.5, 0.5]], [[1.0, 0.0]]) == 0.0
+        assert error_rate([[0.5, 0.5]], [[0.0, 1.0]]) == 1.0
 
     def test_identity_rows(self):
-        np.testing.assert_array_equal(classify(np.eye(4)), [0, 1, 2, 3])
+        assert error_rate(np.eye(4), np.eye(4)) == 0.0
 
-    def test_needs_two_columns(self):
-        with pytest.raises(ConfigError):
-            classify(np.ones((3, 1)))
+    def test_single_column_thresholds_at_half(self):
+        assert error_rate([[0.4], [0.6], [0.6]], [[0.0], [1.0], [0.0]]) == pytest.approx(1 / 3)
 
     def test_error_rate(self):
         out = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.9, 0.1]])
-        assert error_rate(out, [0, 0, 1, 1]) == pytest.approx(0.25)
+        assert error_rate(out, np.eye(2)[[0, 0, 1, 1]]) == pytest.approx(0.25)
 
 
 class TestXorDemo:

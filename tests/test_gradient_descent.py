@@ -37,13 +37,13 @@ class TestCheckGradient:
 
     def test_stationary_at_exact_fit(self):
         """At a zero-residual network the gradient vanishes."""
-        from karnet import KarConfig, train_single_layer
+        from karnet import KarConfig, train_n_layer
 
         rng = np.random.default_rng(1)
         x = rng.uniform(0.05, 0.95, size=(4, 3))
         y = rng.uniform(0.1, 0.9, size=(4, 2))
         spec = NetworkSpec(input_dim=3, hidden=(), output_dim=2)
-        net, _ = train_single_layer(x, y, KarConfig(spec=spec))
+        net, _ = train_n_layer(x, y, KarConfig(spec=spec))
         _, grads = sse_and_gradients(net, x, y)
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
         assert norm <= 1e-8
@@ -66,15 +66,17 @@ class TestTrainGd:
         for wa, wb in zip(init.weights, net.weights):
             np.testing.assert_array_equal(wa, wb)
 
-    def test_stops_when_already_converged(self):
-        """Targets equal to the initial forward output leave nothing to do."""
+    def test_exact_fit_is_a_fixed_point(self):
+        """Targets equal to the initial forward output leave nothing to do:
+        the gradient is zero, so no step moves a weight."""
         x, _, spec = small_problem(3)
-        cfg = GdConfig(spec=spec, learning_rate=0.01, max_iters=50,
-                       sse_tolerance=1e-20)
-        y = forward(initial_network(cfg), x)
-        net, rep = train_gd(x, y, cfg)
-        assert rep.iterations == 0
-        assert rep.train_sse <= 1e-20
+        cfg = GdConfig(spec=spec, learning_rate=0.01, max_iters=50)
+        init = initial_network(cfg)
+        net, rep = train_gd(x, forward(init, x), cfg)
+        for wa, wb in zip(init.weights, net.weights):
+            np.testing.assert_array_equal(wa, wb)
+        assert rep.iterations == 50
+        assert rep.train_sse == 0.0
 
     def test_sse_decreases_on_separable_data(self):
         """First ten small-rate iterations strictly improve a 10-point set."""

@@ -39,12 +39,6 @@ class TestSpecAndShapes:
         with pytest.raises(ConfigError):
             NetworkSpec(input_dim=2, hidden=(0,), output_dim=1)
 
-    def test_bias_partition(self):
-        spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1, seed=5)
-        net = random_init(spec)
-        np.testing.assert_array_equal(net.bias_row(2), net.weights[1][0, :])
-        np.testing.assert_array_equal(net.node_block(2), net.weights[1][1:, :])
-
     def test_wrong_weight_shape_rejected(self):
         spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1)
         with pytest.raises(DimensionError):

@@ -1,5 +1,5 @@
-"""Analytic trainer tests: single-layer, two-layer, n-layer, and the
-representation-mode (random hidden layer) variant."""
+"""Analytic trainer tests: one, two and n layers through the one analytic
+trainer, and the representation-mode (random hidden layer) variant."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from karnet import (
-    ConfigError,
+    GdConfig,
     KarConfig,
     NetworkSpec,
     apply_phi,
+    error_rate,
     forward,
     get_pair,
     make_xor,
+    train_gd,
     train_n_layer,
     train_random_hidden,
-    train_single_layer,
-    train_two_layer,
-    transformed_sse,
 )
 from karnet.errors import RankDeficiencyError
 from karnet.linalg import pinv, require_rank
@@ -39,6 +38,15 @@ def spec_for(x, y, hidden, seed=0):
     )
 
 
+def phi_space_sse(net, x, y):
+    """SSE of the output layer's linear system against phi(Y): its input,
+    read from the forward pass's cache, times its weights."""
+    cache = []
+    forward(net, x, cache)
+    r = cache[-2] @ net.weights[-1] - apply_phi(PAIR, y)
+    return float(np.sum(r * r))
+
+
 class TestSingleLayer:
     def test_square_system_exact_fit(self):
         """m = d + 1 distinct rows make the augmented input invertible, so
@@ -46,7 +54,7 @@ class TestSingleLayer:
         rng = np.random.default_rng(0)
         x = rng.uniform(0.05, 0.95, size=(4, 3))
         y = rng.uniform(0.1, 0.9, size=(4, 2))
-        net, rep = train_single_layer(x, y, KarConfig(spec=spec_for(x, y, ())))
+        net, rep = train_n_layer(x, y, KarConfig(spec=spec_for(x, y, ())))
         np.testing.assert_allclose(forward(net, x), y, atol=1e-6)
         assert rep.solve_count == 1
         assert rep.peel_chains == 0
@@ -55,7 +63,7 @@ class TestSingleLayer:
         rng = np.random.default_rng(1)
         x = rng.uniform(0.05, 0.95, size=(10, 3))
         y = np.full((10, 1), 0.37)
-        net, _ = train_single_layer(x, y, KarConfig(spec=spec_for(x, y, ())))
+        net, _ = train_n_layer(x, y, KarConfig(spec=spec_for(x, y, ())))
         np.testing.assert_allclose(forward(net, x), y, atol=1e-6)
 
     def test_overdetermined_optimality(self):
@@ -65,26 +73,20 @@ class TestSingleLayer:
         x = rng.uniform(0.05, 0.95, size=(30, 3))
         y = rng.uniform(0.1, 0.9, size=(30, 1))
         cfg = KarConfig(spec=spec_for(x, y, ()))
-        net, rep = train_single_layer(x, y, cfg)
-        base = transformed_sse(net, x, y)
+        net, rep = train_n_layer(x, y, cfg)
+        base = phi_space_sse(net, x, y)
         w = net.weights[0]
         for _ in range(100):
             net.weights[0] = w + rng.normal(scale=0.05, size=w.shape)
-            assert base <= transformed_sse(net, x, y) + 1e-10
+            assert base <= phi_space_sse(net, x, y) + 1e-10
         net.weights[0] = w
-
-    def test_requires_no_hidden_layer(self):
-        x = np.ones((3, 2)) * 0.5
-        y = np.ones((3, 1)) * 0.5
-        with pytest.raises(ConfigError):
-            train_single_layer(x, y, KarConfig(spec=spec_for(x, y, (2,))))
 
 
 class TestTwoLayer:
     def test_perturbed_xor(self):
         ds = make_xor(perturbed=True)
         cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,), seed=0))
-        net, rep = train_two_layer(ds.x, ds.y, cfg)
+        net, rep = train_n_layer(ds.x, ds.y, cfg)
         np.testing.assert_allclose(
             forward(net, ds.x), [[0.0], [0.0], [1.0], [1.0]], atol=1e-3
         )
@@ -92,18 +94,22 @@ class TestTwoLayer:
         assert rep.peel_chains == 1
 
     def test_matches_n_layer_bitwise(self):
+        """The two-layer decoupled pass written out: peel the random output
+        layer off phi(Y), solve the hidden layer, re-solve the output layer."""
+        from karnet import apply_f
+        from karnet.network import add_bias_column
+
         ds = make_xor(perturbed=True)
         cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,), seed=3))
-        net_a, rep_a = train_two_layer(ds.x, ds.y, cfg)
-        net_b, rep_b = train_n_layer(ds.x, ds.y, cfg)
-        for wa, wb in zip(net_a.weights, net_b.weights):
-            np.testing.assert_array_equal(wa, wb)
-        assert rep_a.train_sse == rep_b.train_sse
-
-    def test_requires_one_hidden_layer(self):
-        ds = make_xor()
-        with pytest.raises(ConfigError):
-            train_two_layer(ds.x, ds.y, KarConfig(spec=spec_for(ds.x, ds.y, (2, 2))))
+        w2 = _guarded_uniform(np.random.default_rng(3), (3, 1), GUARD_KAPPA, GUARD_TRIES)
+        b2 = apply_phi(PAIR, ds.y)
+        b1 = apply_phi(PAIR, (b2 - w2[0, :]) @ pinv(w2[1:, :]).pinv)
+        x1 = add_bias_column(ds.x)
+        w1 = pinv(x1).pinv @ b1
+        w2 = pinv(add_bias_column(apply_f(PAIR, x1 @ w1))).pinv @ b2
+        net, _ = train_n_layer(ds.x, ds.y, cfg)
+        np.testing.assert_array_equal(net.weights[0], w1)
+        np.testing.assert_array_equal(net.weights[1], w2)
 
 
 class TestNLayer:
@@ -146,17 +152,19 @@ class TestNLayer:
         y = rng.uniform(0.1, 0.9, size=(15, 2))
         cfg = KarConfig(spec=spec_for(x, y, (5,), seed=2))
         net, _ = train_n_layer(x, y, cfg)
-        base = transformed_sse(net, x, y)
+        base = phi_space_sse(net, x, y)
         w_out = net.weights[-1]
         for _ in range(100):
             net.weights[-1] = w_out + rng.normal(scale=0.05, size=w_out.shape)
-            assert base <= transformed_sse(net, x, y) + 1e-10
+            assert base <= phi_space_sse(net, x, y) + 1e-10
         net.weights[-1] = w_out
 
-    def test_requires_hidden_layer(self):
+    def test_no_hidden_layer_is_one_solve_and_no_chain(self):
         ds = make_xor()
-        with pytest.raises(ConfigError):
-            train_n_layer(ds.x, ds.y, KarConfig(spec=spec_for(ds.x, ds.y, ())))
+        _, rep = train_n_layer(ds.x, ds.y, KarConfig(spec=spec_for(ds.x, ds.y, ())))
+        assert rep.solve_count == 1
+        assert rep.peel_chains == 0
+        assert rep.init_style == "n/a"
 
 
 class TestRandomHidden:
@@ -180,7 +188,7 @@ class TestRandomHidden:
         x = rng.uniform(0.05, 0.95, size=(12, 3))
         y = rng.uniform(0.1, 0.9, size=(12, 2))
         net, _ = train_random_hidden(x, y, KarConfig(spec=spec_for(x, y, (12,))))
-        np.testing.assert_array_equal(net.bias_row(2), 0.0)
+        np.testing.assert_array_equal(net.weights[1][0, :], 0.0)
 
     def test_deeper_network_solves_output_bias(self):
         rng = np.random.default_rng(9)
@@ -190,7 +198,7 @@ class TestRandomHidden:
             x, y, KarConfig(spec=spec_for(x, y, (8, 8)))
         )
         assert rep.solve_count == 1
-        assert np.any(net.bias_row(3) != 0.0)
+        assert np.any(net.weights[2][0, :] != 0.0)
 
     def test_five_layer_iris_exact_fit_below_ninety(self):
         """Depth trades for width: with four random hidden layers the 90
@@ -212,30 +220,30 @@ class TestRandomHidden:
 
 class TestReportFromOwnActivations:
     """Trainers score their fit from the activations they built; every report
-    field must equal what a fresh forward pass and transformed_sse give."""
+    field must equal what a fresh forward pass gives."""
 
     @pytest.mark.parametrize(
         "trainer, hidden",
         [
-            (train_single_layer, ()),
-            (train_two_layer, (20,)),
+            (train_n_layer, ()),
+            (train_n_layer, (20,)),
             (train_n_layer, (40, 20, 10)),  # exp4 at h = 10
             (train_random_hidden, (20,)),  # output bias row pinned at zero
             (train_random_hidden, (12, 12, 12)),
+            (train_gd, (5,)),
         ],
     )
     def test_report_equals_recomputed_fields(self, trainer, hidden):
         from karnet import load_iris, scale_minmax
-        from karnet.training import classification_error_rate
 
         ds = scale_minmax(load_iris(), 0.01)
+        config = GdConfig if trainer is train_gd else KarConfig
         for seed in range(3):
-            cfg = KarConfig(spec=spec_for(ds.x, ds.y, hidden, seed=seed))
-            net, rep = trainer(ds.x, ds.y, cfg)
+            net, rep = trainer(ds.x, ds.y, config(spec=spec_for(ds.x, ds.y, hidden, seed=seed)))
             g = forward(net, ds.x)
             assert rep.train_sse == float(np.sum((g - ds.y) ** 2))
-            assert rep.train_sse_transformed == transformed_sse(net, ds.x, ds.y)
-            assert rep.train_error_rate == classification_error_rate(g, ds.y)
+            assert rep.train_sse_transformed == phi_space_sse(net, ds.x, ds.y)
+            assert rep.train_error_rate == error_rate(g, ds.y)
 
     def test_fit_working_set_is_a_small_multiple_of_the_output_matrix(self):
         """Peak traced memory of one tall fit stays within 4x the bytes of
