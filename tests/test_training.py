@@ -225,8 +225,9 @@ class TestReportFromOwnActivations:
     @pytest.mark.parametrize(
         "trainer, hidden",
         [
-            (train_n_layer, ()),
-            (train_n_layer, (20,)),
+            # The single- and two-layer fits of the paper, under their own names.
+            pytest.param(train_n_layer, (), id="train_single_layer-hidden0"),
+            pytest.param(train_n_layer, (20,), id="train_two_layer-hidden1"),
             (train_n_layer, (40, 20, 10)),  # exp4 at h = 10
             (train_random_hidden, (20,)),  # output bias row pinned at zero
             (train_random_hidden, (12, 12, 12)),
