@@ -111,6 +111,8 @@ def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
         raise DataError(f"{path}: no data rows")
 
     width = len(rows[0][1])
+    if width < 2:
+        raise DataError(f"{path}: no feature column, only a label")
     if not -width <= label_column < width:
         raise ConfigError(f"label column {label_column} out of range for width {width}")
     label_column %= width

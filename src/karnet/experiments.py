@@ -75,6 +75,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown architecture pattern {self.pattern!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if any(h < 1 for h in self.grid):
+            raise ConfigError(f"grid values must be >= 1, got {self.grid}")
+        # NaN fails these comparisons, so it is rejected too
+        if self.gradient_clip is not None and not 0.0 < self.gradient_clip < np.inf:
+            raise ConfigError(f"gradient_clip must be finite and > 0, got {self.gradient_clip}")
+        if self.rcond is not None and not 0.0 <= self.rcond < np.inf:
+            raise ConfigError(f"rcond must be finite and >= 0, got {self.rcond}")
 
     def hidden_for(self, h: int) -> tuple[int, ...]:
         """Hidden sizes for a grid value under the architecture pattern."""

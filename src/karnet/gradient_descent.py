@@ -19,7 +19,7 @@ from .activations import apply_phi
 from .errors import ConfigError, NumericalError
 from .linalg import as_matrix
 from .network import Network, NetworkSpec, forward
-from .training import TrainReport, _check_xy, _finish_report
+from .training import TrainReport, _check_spec, _finish_report
 
 __all__ = [
     "GdConfig",
@@ -97,12 +97,7 @@ def sse_and_gradients(net: Network, x, y):
 def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
     """Full-batch descent on output-space SSE for ``max_iters`` steps."""
     t0 = time.perf_counter()
-    xm, ym = _check_xy(x, y)
-    if cfg.spec.input_dim != xm.shape[1] or cfg.spec.output_dim != ym.shape[1]:
-        raise ConfigError(
-            f"spec dims ({cfg.spec.input_dim}, {cfg.spec.output_dim}) do not "
-            f"match data dims ({xm.shape[1]}, {ym.shape[1]})"
-        )
+    xm, ym = _check_spec(cfg.spec, x, y)
     net = initial_network(cfg)
     for it in range(cfg.max_iters):
         loss, grads = sse_and_gradients(net, xm, ym)

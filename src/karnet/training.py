@@ -29,7 +29,6 @@ to the number of samples a network can fit exactly.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -59,7 +58,8 @@ class KarConfig:
     The spec's seed draws the random layers; ``rcond`` overrides the
     pseudoinverse cutoff.  Random layer draws whose node block has
     condition number above ``GUARD_KAPPA`` are redrawn (up to
-    ``GUARD_TRIES`` times) to guard against degenerate initializations.
+    ``GUARD_TRIES`` times) to guard against degenerate initializations;
+    a block too wide for any draw to pass is drawn once.
     """
 
     spec: NetworkSpec
@@ -120,58 +120,18 @@ def error_rate(outputs, targets) -> float:
     return float(np.mean((outputs[:, 0] > 0.5) != (targets[:, 0] > 0.5)))
 
 
-def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _check_spec(spec: NetworkSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as matrices whose rows pair up and whose widths fit
+    ``spec``; anything else is a DimensionError."""
     xm = as_matrix(x, "x")
     ym = as_matrix(y, "y")
     if xm.shape[0] != ym.shape[0]:
-        raise DimensionError(
-            f"x has {xm.shape[0]} rows but y has {ym.shape[0]}"
-        )
+        raise DimensionError(f"x has {xm.shape[0]} rows but y has {ym.shape[0]}")
+    if spec.input_dim != xm.shape[1]:
+        raise DimensionError(f"spec input_dim {spec.input_dim} != data dim {xm.shape[1]}")
+    if spec.output_dim != ym.shape[1]:
+        raise DimensionError(f"spec output_dim {spec.output_dim} != target dim {ym.shape[1]}")
     return xm, ym
-
-
-def _check_spec(cfg: KarConfig, x: np.ndarray, y: np.ndarray) -> None:
-    spec = cfg.spec
-    if spec.input_dim != x.shape[1]:
-        raise DimensionError(
-            f"spec input_dim {spec.input_dim} != data dim {x.shape[1]}"
-        )
-    if spec.output_dim != y.shape[1]:
-        raise DimensionError(
-            f"spec output_dim {spec.output_dim} != target dim {y.shape[1]}"
-        )
-
-
-def _kappa_lower_bound(b: np.ndarray) -> float:
-    """A lower bound on the condition number of ``b`` from one O(pq) pass.
-
-    With ``b`` taken tall (p >= q >= 2), any unit vectors u and v give
-    sigma_max >= |b u| and sigma_min <= |b v| (Courant-Fischer).  Taking
-    u = 1/sqrt(q) and v = (e_j - 1/q) / sqrt(1 - 1/q) gives
-
-        kappa(b) >= (|b 1| / sqrt(q)) / (min_j |b_j - mean| / sqrt(1 - 1/q))
-                  = sqrt((q - 1) |mean|^2 / min_j |b_j - mean|^2).
-
-    The column distances come from Gram terms, so no centred copy of ``b``
-    is made.  A single column has kappa = 1 and returns 1; a block that is
-    not finite returns 0 (no bound).
-    """
-    if b.shape[0] < b.shape[1]:
-        b = b.T
-    q = b.shape[1]
-    if q < 2:
-        return 1.0
-    scale = float(max(b.max(), -b.min()))
-    if not 1e-100 < scale < 1e100:  # keep the squares clear of under/overflow
-        if scale == 0.0:
-            return math.inf
-        if not math.isfinite(scale):
-            return 0.0
-        b = b / scale
-    mean = b.sum(axis=1) / q
-    mean2 = float(mean @ mean)
-    dist2 = float((np.einsum("ij,ij->j", b, b) - 2.0 * (mean @ b)).min()) + mean2
-    return math.sqrt((q - 1) * mean2 / dist2) if dist2 > 0.0 else math.inf
 
 
 def _guarded_uniform(
@@ -179,23 +139,18 @@ def _guarded_uniform(
 ) -> np.ndarray:
     """Uniform(0,1) draw, redrawn while the node block is badly conditioned.
 
-    A draw whose cheap lower bound on kappa already exceeds the limit is
-    rejected without an SVD; the SVD decides the rest.  When no draw passes
-    within ``tries`` redraws, the last draw is kept.
-
-    On a uniform(0,1) block with q = min(p, q) columns the bound sits near
-    sqrt(3q) (squared mean column ~p/4, squared column spread ~p/12), so it
-    is only computed when 3q >= kappa^2; narrower blocks, whose SVD is as
-    cheap as the bound, go straight to the SVD.
+    When no draw passes within ``tries`` redraws, the last draw is kept.  A
+    node block whose shorter side q has 3q >= kappa^2 is drawn once and kept:
+    its mean entry of 1/2 puts kappa above about sqrt(3q + 1), so no redraw
+    can pass.
     """
-    certify = 3 * min(shape[0] - 1, shape[1]) >= kappa * kappa
     w = rng.uniform(0.0, 1.0, size=shape)
+    if 3 * min(shape[0] - 1, shape[1]) >= kappa * kappa:
+        return w
     for _ in range(max(0, tries)):
-        node = w[1:, :]
-        if not (certify and _kappa_lower_bound(node) > kappa * (1.0 + 1e-9)):
-            s = np.linalg.svd(node, compute_uv=False)
-            if s[-1] > 0.0 and s[0] / s[-1] <= kappa:
-                break
+        s = np.linalg.svd(w[1:, :], compute_uv=False)
+        if s[-1] > 0.0 and s[0] / s[-1] <= kappa:
+            break
         w = rng.uniform(0.0, 1.0, size=shape)
     return w
 
@@ -235,8 +190,7 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     """Single-pass analytic trainer for n >= 1 layers; with n = 1 there is
     no random layer and the peeling chain is empty."""
     t0 = time.perf_counter()
-    xm, ym = _check_xy(x, y)
-    _check_spec(cfg, xm, ym)
+    xm, ym = _check_spec(cfg.spec, x, y)
     spec = cfg.spec
     n = spec.n_layers
     pair = spec.pair()
@@ -323,8 +277,7 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     networks solve the full output layer including its bias row.
     """
     t0 = time.perf_counter()
-    xm, ym = _check_xy(x, y)
-    _check_spec(cfg, xm, ym)
+    xm, ym = _check_spec(cfg.spec, x, y)
     spec = cfg.spec
     if spec.n_layers < 2:
         raise ConfigError("train_random_hidden requires at least one hidden layer")

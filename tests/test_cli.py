@@ -1,11 +1,24 @@
 """Command-line interface tests: subcommands, config files, exit codes."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from karnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from karnet.cli import (
+    _OPTIONS,
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    _parse_bool,
+    _parse_grid,
+    _parse_int_list,
+    main,
+)
 
 
 def run_cli(*argv):
@@ -339,3 +352,83 @@ class TestFailureContract:
         assert code == EXIT_NUMERIC
         assert "Traceback" not in err and "non-finite" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv", "xor-demo", "iris-sweep", "gradient-check"])
+    def test_negative_seed_is_config_error(self, tmp_path, command):
+        code, err = run_cli_process(
+            command, "--seed", "-1", "--layers", "3", "--out", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err and "seed" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gradient-clip", "-1"), ("--gradient-clip", "0"), ("--gradient-clip", "nan"),
+         ("--gradient-clip", "inf"), ("--rcond", "-1"), ("--rcond", "nan"), ("--rcond", "inf")],
+    )
+    def test_bad_clip_or_rcond_is_config_error(self, tmp_path, capsys, flag, value):
+        code = run_cli("train", "--data", "iris", "--layers", "3", "--trainer", "gd",
+                       "--max-iters", "5", flag, value, "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_label_only_csv_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("a\nb\na\n")
+        code = run_cli("train", "--data", str(data), "--layers", "3", "--out", str(tmp_path))
+        assert code == EXIT_DATA
+        assert "no feature column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cv", "iris-sweep"])
+    def test_grid_value_below_one_is_config_error(self, tmp_path, capsys, command):
+        code = run_cli(command, "--data", "xor", "--grid", "2,-1", "--folds", "2",
+                       "--trials", "1", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "grid" in capsys.readouterr().err
+
+
+# Values tried for each option, by its parser: negative, zero, NaN and
+# infinite numbers, malformed lists, and a few that run.  Sizes stay small
+# and trials at most 2, so each example runs in milliseconds.
+_LISTS = ["", "1", "2,3", "3,3,3", "0", "-1", "1,-2", "a,b", "1,,2", ","]
+_FUZZ_VALUES = {
+    int: ["-1", "0", "1", "2", "nan", "inf"],
+    float: ["-1", "0", "0.5", "1e-3", "nan", "inf", "-inf"],
+    _parse_int_list: _LISTS,
+    _parse_grid: _LISTS,
+    str: ["fixed", "exp4", "kar", "gd", "bogus"],
+}
+
+
+@st.composite
+def _cli_argvs(draw):
+    """A command on the xor data with up to four options from the table;
+    iris-sweep always gets a short --grid and --trials."""
+    command = draw(st.sampled_from(["train", "cv", "xor-demo", "gradient-check", "iris-sweep"]))
+    options = [o for o in _OPTIONS if o[0] not in ("data", "out")]
+    chosen = draw(st.lists(st.sampled_from(options), max_size=4, unique=True))
+    if command == "iris-sweep":
+        chosen = [o for o in options if o[0] in ("grid", "trials") or o in chosen]
+    argv = [command, "--data", "xor"]
+    for key, _, parse, _ in chosen:
+        if parse is _parse_bool:
+            argv.append(f"--{key}")
+        else:
+            argv += [f"--{key}", draw(st.sampled_from(_FUZZ_VALUES[parse]))]
+    return argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @example(["train", "--data", "xor", "--seed", "-1"])
+    @example(["iris-sweep", "--data", "xor", "--grid", "-1", "--trials", "1"])
+    @given(_cli_argvs())
+    def test_any_option_values_end_in_a_documented_exit(self, argv):
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                code = main([*argv, "--out", out])
+            except SystemExit as exc:  # argparse rejecting a malformed value
+                assert exc.code == EXIT_CONFIG
+                return
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)

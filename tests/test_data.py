@@ -57,6 +57,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(p, label_column=0)
 
+    def test_label_only_file_has_no_feature_column(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a\nb\na\n")
+        with pytest.raises(DataError, match="no feature column"):
+            load_csv(p, label_column=-1)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             load_csv(tmp_path / "nope.csv", label_column=0)

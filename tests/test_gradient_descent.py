@@ -58,6 +58,14 @@ class TestCheckGradient:
 
 
 class TestTrainGd:
+    @pytest.mark.parametrize("d, q", [(2, 2), (3, 1)])
+    def test_spec_that_does_not_fit_the_data(self, d, q):
+        from karnet import DimensionError
+
+        x, y, _ = small_problem(0)
+        with pytest.raises(DimensionError, match="spec"):
+            train_gd(x, y, GdConfig(spec=NetworkSpec(d, (4,), q)))
+
     def test_zero_learning_rate_keeps_weights(self):
         x, y, spec = small_problem(2)
         cfg = GdConfig(spec=spec, learning_rate=0.0, max_iters=5)
