@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one range check
+the config objects apply to numeric options.
 
 The CLI maps these onto exit codes: configuration problems exit 2,
 data/parse problems exit 3, numerical failures exit 4.
 """
+
+import math
 
 
 class KarnetError(Exception):
@@ -38,4 +41,13 @@ class NumericalError(KarnetError):
 
 
 class RankDeficiencyError(NumericalError):
-    """A pseudoinverse solve found no usable singular values."""
+    """A least-squares solve or pseudoinverse found no usable singular values."""
+
+
+def check_finite(name: str, value: float | None, positive: bool) -> None:
+    """Raise ConfigError unless ``value`` is None or finite and >= 0 (> 0
+    when ``positive``); NaN fails too."""
+    if value is None:
+        return
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ConfigError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")

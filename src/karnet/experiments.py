@@ -27,7 +27,7 @@ from .data import (
     split_rows,
     stratified_folds,
 )
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_finite
 from .gradient_descent import GdConfig, train_gd
 from .network import Network, NetworkSpec, forward
 from .training import KarConfig, error_rate, train_n_layer, train_random_hidden
@@ -79,11 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if any(h < 1 for h in self.grid):
             raise ConfigError(f"grid values must be >= 1, got {self.grid}")
-        # NaN fails these comparisons, so it is rejected too
-        if self.gradient_clip is not None and not 0.0 < self.gradient_clip < np.inf:
-            raise ConfigError(f"gradient_clip must be finite and > 0, got {self.gradient_clip}")
-        if self.rcond is not None and not 0.0 <= self.rcond < np.inf:
-            raise ConfigError(f"rcond must be finite and >= 0, got {self.rcond}")
+        check_finite("gradient_clip", self.gradient_clip, positive=True)
+        check_finite("rcond", self.rcond, positive=False)
 
     def hidden_for(self, h: int) -> tuple[int, ...]:
         """Hidden sizes for a grid value under the architecture pattern."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import apply_phi
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_finite
 from .linalg import as_matrix
 from .network import Network, NetworkSpec, forward
 from .training import TrainReport, _check_spec, _finish_report
@@ -32,7 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Gradient-descent settings; learning_rate > 0 and max_iters >= 1."""
+    """Gradient-descent settings; learning_rate >= 0, max_iters >= 1 and a
+    gradient_clip, when set, finite and > 0."""
 
     spec: NetworkSpec
     learning_rate: float = 0.01
@@ -44,6 +45,7 @@ class GdConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        check_finite("gradient_clip", self.gradient_clip, positive=True)
 
 
 def initial_network(cfg: GdConfig) -> Network:

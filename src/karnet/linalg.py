@@ -1,11 +1,16 @@
 """Dense linear algebra kernel: SVD pseudoinverse and least-squares solves.
 
-All solves go through a single SVD-based Moore-Penrose pseudoinverse with a
-singular-value cutoff.  For full-rank systems this coincides with the primal
-normal-equation solution (A^T A)^-1 A^T b when the system is over-determined,
-and with the dual solution A^T (A A^T)^-1 b when it is under-determined; the
-SVD route additionally handles rank deficiency and gives the minimum-norm
-least-squares solution in every case.
+Every least-squares solve ``A theta = B`` goes through ``lstsq``, which
+returns the SVD minimum-norm solution with a singular-value cutoff.  For
+full-rank systems this coincides with the primal normal-equation solution
+(A^T A)^-1 A^T b when the system is over-determined, and with the dual
+solution A^T (A A^T)^-1 b when it is under-determined; the SVD additionally
+handles rank deficiency.  ``lstsq`` picks its route from the shapes: when B
+has fewer columns than ``min(A.shape)``, LAPACK gelsd applies the
+factorisation to B and never forms U, V or the pseudoinverse; otherwise,
+and for a cutoff gelsd cannot express, the Moore-Penrose pseudoinverse
+``pinv(A)`` is formed and multiplied by B.  Both routes drop the same
+singular values.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, RankDeficiencyError
+from .errors import DimensionError, NumericalError, RankDeficiencyError, check_finite
 
-__all__ = ["PinvResult", "as_matrix", "pinv", "solve_least_squares", "sse"]
+__all__ = [
+    "LstsqResult", "PinvResult", "as_matrix", "lstsq", "pinv", "solve_least_squares", "sse",
+]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -84,23 +91,55 @@ def pinv(a, rcond: float | None = None) -> PinvResult:
     return PinvResult(pinv=(vt.T * inv_s) @ u.T, rank=rank, tolerance=float(tol))
 
 
+@dataclass(frozen=True)
+class LstsqResult:
+    """Least-squares solution and the number of singular values of ``a``
+    kept (above the cutoff)."""
+
+    theta: np.ndarray
+    rank: int
+
+
+def lstsq(a, b, rcond: float | None = None) -> LstsqResult:
+    """Minimum-norm least-squares solution of ``a @ theta = b`` (b a matrix).
+
+    Singular values at or below ``rcond * sigma_max`` count as zero, with
+    ``rcond`` (finite and >= 0) defaulting to ``max(m, d) * eps`` as in
+    ``pinv``.  When ``b`` has fewer columns than ``min(a.shape)``, LAPACK
+    gelsd solves the system without forming the pseudoinverse, which is
+    faster there; with more columns, or a cutoff gelsd cannot express
+    (``rcond`` 0 or >= 1), ``pinv(a, rcond).pinv @ b`` is used unchanged.
+    """
+    check_finite("rcond", rcond, positive=False)
+    am = as_matrix(a, "a")
+    bm = as_matrix(b, "b")
+    if am.shape[0] != bm.shape[0]:
+        raise DimensionError(
+            f"row mismatch: a has {am.shape[0]} rows, b has {bm.shape[0]}"
+        )
+    if rcond is None:
+        rcond = max(am.shape) * np.finfo(np.float64).eps
+    # gelsd reads an rcond outside (0, 1) as eps; pinv keeps every nonzero
+    # singular value at 0 and none at 1 or above
+    if bm.shape[1] >= min(am.shape) or not 0.0 < rcond < 1.0:
+        p = pinv(am, rcond=rcond)
+        return LstsqResult(theta=p.pinv @ bm, rank=p.rank)
+    try:
+        theta, _, rank, _ = np.linalg.lstsq(am, bm, rcond=rcond)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge for shape {am.shape}") from exc
+    return LstsqResult(theta=theta, rank=int(rank))
+
+
 def solve_least_squares(a, b) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a @ theta = b``.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; solving
     column-by-column and solving the matrix equation in one call agree.
     """
-    am = as_matrix(a, "a")
     bm = np.asarray(b, dtype=np.float64)
     squeeze = bm.ndim == 1
-    if squeeze:
-        bm = bm[:, None]
-    bm = as_matrix(bm, "b")
-    if am.shape[0] != bm.shape[0]:
-        raise DimensionError(
-            f"row mismatch: a has {am.shape[0]} rows, b has {bm.shape[0]}"
-        )
-    theta = pinv(am).pinv @ bm
+    theta = lstsq(a, bm[:, None] if squeeze else bm).theta
     return theta[:, 0] if squeeze else theta
 
 
@@ -132,8 +171,9 @@ def sse(a, theta, b) -> float:
     return float(np.sum(r * r))
 
 
-def require_rank(result: PinvResult, what: str) -> PinvResult:
-    """Raise if a pseudoinverse found no usable singular values."""
+def require_rank(result, what: str):
+    """Raise if a ``PinvResult`` or ``LstsqResult`` found no usable singular
+    values; otherwise return it."""
     if result.rank == 0:
         raise RankDeficiencyError(f"{what} is numerically rank-deficient (rank 0)")
     return result

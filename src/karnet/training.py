@@ -18,7 +18,7 @@ and targets Y:
   that point in the sweep still hold their random initialization, so the
   peel values are computed once and reused.
 
-Training therefore performs exactly n data-side pseudoinverse solves plus,
+Training therefore performs exactly n data-side least-squares solves plus,
 for n >= 2, one peeling chain, which the report records.  A one-layer net
 is the case with no random layer to peel.
 
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import apply_f, apply_phi
-from .errors import ConfigError, DimensionError, NumericalError
-from .linalg import as_matrix, pinv, require_rank
+from .errors import ConfigError, DimensionError, NumericalError, check_finite
+from .linalg import as_matrix, lstsq, pinv, require_rank
 from .network import Network, NetworkSpec, add_bias_column
 
 __all__ = [
@@ -55,15 +55,18 @@ GUARD_TRIES = 20
 class KarConfig:
     """Configuration for the analytic trainers.
 
-    The spec's seed draws the random layers; ``rcond`` overrides the
-    pseudoinverse cutoff.  Random layer draws whose node block has
-    condition number above ``GUARD_KAPPA`` are redrawn (up to
-    ``GUARD_TRIES`` times) to guard against degenerate initializations;
-    a block too wide for any draw to pass is drawn once.
+    The spec's seed draws the random layers; ``rcond`` (finite and >= 0)
+    overrides the singular-value cutoff of every solve.  Random layer draws
+    whose node block has condition number above ``GUARD_KAPPA`` are redrawn
+    (up to ``GUARD_TRIES`` times) to guard against degenerate
+    initializations; a block too wide for any draw to pass is drawn once.
     """
 
     spec: NetworkSpec
     rcond: float | None = None
+
+    def __post_init__(self):
+        check_finite("rcond", self.rcond, positive=False)
 
 
 @dataclass
@@ -162,7 +165,7 @@ def _finite_or_raise(m: np.ndarray, layer: int, what: str) -> np.ndarray:
 
 
 def _solve(a: np.ndarray, b: np.ndarray, rcond, what: str) -> np.ndarray:
-    return require_rank(pinv(a, rcond=rcond), what).pinv @ b
+    return require_rank(lstsq(a, b, rcond=rcond), what).theta
 
 
 def _finish_report(

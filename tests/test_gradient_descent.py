@@ -122,6 +122,14 @@ class TestTrainGd:
         _, rep = train_gd(x, y, cfg)
         assert np.isfinite(rep.train_sse)
 
+    @pytest.mark.parametrize("clip", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_gradient_clip_must_be_finite_and_positive(self, clip):
+        from karnet import ConfigError
+
+        _, _, spec = small_problem(7)
+        with pytest.raises(ConfigError, match="gradient_clip"):
+            GdConfig(spec=spec, gradient_clip=clip)
+
     def test_gradient_clip_keeps_run_finite(self):
         x, y, spec = small_problem(7)
         cfg = GdConfig(spec=spec, learning_rate=1e-3, max_iters=100,

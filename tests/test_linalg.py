@@ -3,13 +3,20 @@
 Expected values for the solver come from the explicit full-rank formulas,
 computed independently here: the normal-equation (primal) solution
 (A^T A)^-1 A^T b for over-determined systems and the dual solution
-A^T (A A^T)^-1 b for under-determined ones.
+A^T (A A^T)^-1 b for under-determined ones.  Properties compare the
+solver's two routes (LAPACK gelsd for narrow right-hand sides, the formed
+pseudoinverse otherwise) on random and rank-deficient systems.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karnet import DimensionError, NumericalError, pinv, solve_least_squares, sse
+from karnet.linalg import lstsq
+
+EPS = np.finfo(np.float64).eps
 
 
 def primal_oracle(a, b):
@@ -172,6 +179,90 @@ class TestSolveLeastSquares:
                 [solve_least_squares(a, b[:, j : j + 1])[:, 0] for j in range(q)]
             )
             np.testing.assert_allclose(whole, cols, atol=1e-10)
+
+
+@st.composite
+def _systems(draw):
+    """A tall, wide or square A (random, or with repeated rows or columns),
+    a B whose width falls on either side of min(A.shape), and a cutoff."""
+    m, d = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(m, d))
+    repeat = draw(st.sampled_from(["none", "rows", "columns"]))
+    if repeat == "rows":
+        a = a[rng.integers(0, draw(st.integers(1, m)), size=m)]
+    elif repeat == "columns":
+        a = a[:, rng.integers(0, draw(st.integers(1, d)), size=d)]
+    short = min(m, d)
+    if short > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, short - 1))
+    else:
+        k = draw(st.integers(short, short + 3))
+    b = rng.normal(size=(m, k))
+    return a, b, draw(st.sampled_from([None, 1e-6]))
+
+
+class TestLstsqRoutes:
+    """lstsq and the pseudoinverse it replaces on narrow right-hand sides give
+    the same minimum-norm least-squares solution up to rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_systems())
+    def test_routes_agree_on_rank_residual_and_kernel(self, system):
+        a, b, rcond = system
+        got = lstsq(a, b, rcond=rcond)
+        ref = pinv(a, rcond=rcond)
+        assert got.rank == ref.rank
+        if b.shape[1] >= min(a.shape):
+            assert got.theta.tobytes() == (ref.pinv @ b).tobytes()
+            return
+        s = np.linalg.svd(a, compute_uv=False)
+        # rounding turns the kept singular subspace by about eps * s_1 / s_k
+        # (Wedin), which moves the residual by up to twice that share of |B|^2
+        turn = EPS * s[0] / s[got.rank - 1] if got.rank else 0.0
+        b2 = float(np.sum(b * b))
+        r_got = float(np.sum((a @ got.theta - b) ** 2))
+        r_ref = float(np.sum((a @ (ref.pinv @ b) - b) ** 2))
+        assert abs(r_got - r_ref) <= 1e-9 * b2 + 2.0 * turn * b2
+        # no component in ker A beyond that turn
+        _, _, vt = np.linalg.svd(a)
+        kernel_part = np.linalg.norm(vt[got.rank:] @ got.theta)
+        assert kernel_part <= (1e-12 + 10.0 * max(a.shape) * turn) * np.linalg.norm(got.theta)
+
+    @pytest.mark.parametrize(
+        "sigma, rcond, rank",
+        [(2 * EPS, None, 2), (4 * EPS, None, 3), (1e-6, 1e-6, 2), (2e-6, 1e-6, 3),
+         (1e-17, 0.0, 3), (1e-17, 1e-300, 3), (0.5, 1.0, 0), (0.5, 0.75, 1)],
+    )
+    def test_both_routes_drop_the_same_singular_values(self, sigma, rcond, rank):
+        """A singular value at or below rcond * s_1 (default 3 eps for a 3x3)
+        is dropped for every width of B, one above it is kept; rcond 0 keeps
+        every nonzero one and rcond 1 none (gelsd alone would read both as
+        eps)."""
+        a = np.diag([1.0, sigma, 0.5])
+        for k in (1, 3):
+            assert lstsq(a, np.ones((3, k)), rcond=rcond).rank == rank
+
+    @pytest.mark.parametrize("rcond", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_negative_or_non_finite_rcond_is_refused(self, rcond, k):
+        """gelsd would read a negative rcond as eps, pinv as keeping every
+        value."""
+        from karnet import ConfigError
+
+        with pytest.raises(ConfigError, match="rcond"):
+            lstsq(np.diag([1.0, 1e-17, 1.0]), np.ones((3, k)), rcond=rcond)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_systems())
+    def test_pinv_satisfies_penrose_conditions(self, system):
+        a, _, rcond = system
+        x = pinv(a, rcond=rcond).pinv
+        ax, xa = a @ x, x @ a
+        assert np.linalg.norm(a @ x @ a - a) <= 1e-8 * np.linalg.norm(a)
+        assert np.linalg.norm(x @ a @ x - x) <= 1e-8 * max(np.linalg.norm(x), 1e-300)
+        assert np.linalg.norm(ax - ax.T) <= 1e-8 * max(np.linalg.norm(ax), 1e-300)
+        assert np.linalg.norm(xa - xa.T) <= 1e-8 * max(np.linalg.norm(xa), 1e-300)
 
 
 class TestSse:

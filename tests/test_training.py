@@ -18,7 +18,7 @@ from karnet import (
     train_random_hidden,
 )
 from karnet.errors import RankDeficiencyError
-from karnet.linalg import pinv, require_rank
+from karnet.linalg import lstsq, pinv, require_rank
 from karnet.training import GUARD_KAPPA, GUARD_TRIES, _guarded_uniform
 
 PAIR = get_pair("logit-sigmoid")
@@ -87,7 +87,8 @@ class TestTwoLayer:
 
     def test_matches_n_layer_bitwise(self):
         """The two-layer decoupled pass written out: peel the random output
-        layer off phi(Y), solve the hidden layer, re-solve the output layer."""
+        layer off phi(Y), solve the hidden layer, re-solve the output layer;
+        each data-side solve is the library's one least-squares routine."""
         from karnet import apply_f
         from karnet.network import add_bias_column
 
@@ -97,14 +98,36 @@ class TestTwoLayer:
         b2 = apply_phi(PAIR, ds.y)
         b1 = apply_phi(PAIR, (b2 - w2[0, :]) @ pinv(w2[1:, :]).pinv)
         x1 = add_bias_column(ds.x)
-        w1 = pinv(x1).pinv @ b1
-        w2 = pinv(add_bias_column(apply_f(PAIR, x1 @ w1))).pinv @ b2
+        w1 = lstsq(x1, b1).theta
+        w2 = lstsq(add_bias_column(apply_f(PAIR, x1 @ w1)), b2).theta
         net, _ = train_n_layer(ds.x, ds.y, cfg)
         np.testing.assert_array_equal(net.weights[0], w1)
         np.testing.assert_array_equal(net.weights[1], w2)
 
 
 class TestNLayer:
+    def test_output_solve_forms_no_pseudoinverse(self, monkeypatch):
+        """Iris at h = 20 (q = 3): the peel inverts the 20x3 node block and
+        the 150x5 input solve has 20 >= 5 right-hand sides, so both form a
+        pseudoinverse; the 150x21 output solve has 3 < 21 and forms none."""
+        import karnet.linalg
+        import karnet.training
+        from karnet import load_iris, scale_minmax
+
+        shapes = []
+        original = karnet.linalg.pinv
+
+        def counting_pinv(a, rcond=None):
+            shapes.append(np.shape(a))
+            return original(a, rcond=rcond)
+
+        monkeypatch.setattr(karnet.linalg, "pinv", counting_pinv)
+        monkeypatch.setattr(karnet.training, "pinv", counting_pinv)
+        ds = scale_minmax(load_iris(), 0.01)
+        net, _ = train_n_layer(ds.x, ds.y, KarConfig(spec=spec_for(ds.x, ds.y, (20,), seed=0)))
+        assert shapes == [(20, 3), (150, 5)]
+        assert net.weights[1].shape == (21, 3)
+
     def test_five_layer_xor(self):
         ds = make_xor(perturbed=True)
         cfg = KarConfig(spec=spec_for(ds.x, ds.y, (3, 3, 3, 3), seed=0))
@@ -240,7 +263,8 @@ class TestReportFromOwnActivations:
 
     def test_fit_working_set_is_a_small_multiple_of_the_output_matrix(self):
         """Peak traced memory of one tall fit stays within 4x the bytes of
-        [1, G_1]: the matrix, its SVD factor and its pseudoinverse."""
+        [1, G_1]. The peak (about 3.1x) comes while [1, G_1] is built: the
+        pre-activation, its activation and the matrix itself."""
         import tracemalloc
 
         m, d, h, q = 5000, 16, 256, 4
@@ -275,6 +299,16 @@ class TestErrors:
         zero = pinv(np.zeros((3, 3)))
         with pytest.raises(RankDeficiencyError, match="input matrix"):
             require_rank(zero, "input matrix")
+
+    @pytest.mark.parametrize("rcond", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_rcond_must_be_finite_and_non_negative(self, rcond):
+        from karnet import ConfigError
+
+        with pytest.raises(ConfigError, match="rcond"):
+            KarConfig(spec=NetworkSpec(2, (2,), 1), rcond=rcond)
+
+    def test_zero_rcond_is_accepted(self):
+        KarConfig(spec=NetworkSpec(2, (2,), 1), rcond=0.0)
 
     def test_dimension_mismatch(self):
         from karnet import DimensionError
