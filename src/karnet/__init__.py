@@ -9,7 +9,7 @@ identical network model serves as the comparison baseline, and an
 experiment harness reproduces the exclusive-or and iris case studies.
 """
 
-from .activations import ActivationPair, apply_f, apply_phi, get_pair
+from .activations import LOGIT_SIGMOID, ActivationPair, apply_f, apply_phi
 from .data import (
     Dataset,
     FoldPlan,
@@ -40,7 +40,6 @@ from .network import (
     load_network,
     network_from_json,
     network_to_json,
-    random_init,
     save_network,
 )
 from .training import KarConfig, TrainReport, error_rate, train_n_layer, train_random_hidden
@@ -51,7 +50,7 @@ __all__ = [
     "ActivationPair",
     "apply_f",
     "apply_phi",
-    "get_pair",
+    "LOGIT_SIGMOID",
     "Dataset",
     "FoldPlan",
     "apply_scaling",
@@ -82,7 +81,6 @@ __all__ = [
     "Network",
     "NetworkSpec",
     "forward",
-    "random_init",
     "network_to_json",
     "network_from_json",
     "save_network",

@@ -1,7 +1,7 @@
 """Invertible activation pairs applied elementwise with domain clamping.
 
-A pair couples a forward function f with its inverse phi.  The reference
-pair is f = logit on (0, 1) with phi = sigmoid.  Inputs to f are clamped
+A pair couples a forward function f with its inverse phi.  Networks use
+one pair, ``LOGIT_SIGMOID``: f = logit on (0, 1) with phi = sigmoid.  Inputs to f are clamped
 into ``[lo + eps, hi - eps]`` so that every output stays finite even for
 targets sitting exactly on the domain boundary (e.g. indicator targets of
 0 and 1); outputs of phi are clamped into the same band so that a
@@ -15,9 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
-
-__all__ = ["ActivationPair", "apply_f", "apply_phi", "get_pair", "LOGIT_SIGMOID"]
+__all__ = ["ActivationPair", "apply_f", "apply_phi", "LOGIT_SIGMOID"]
 
 DEFAULT_CLAMP_EPS = 1e-7
 
@@ -84,10 +82,3 @@ LOGIT_SIGMOID = ActivationPair(
     hi=1.0,
     forward_deriv=_logit_deriv,
 )
-
-
-def get_pair(name: str) -> ActivationPair:
-    """Look up an activation pair by name; logit-sigmoid is the only one."""
-    if name != LOGIT_SIGMOID.name:
-        raise ConfigError(f"unknown activation pair {name!r} (known: {LOGIT_SIGMOID.name})")
-    return LOGIT_SIGMOID

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .data import (
     Dataset,
     apply_scaling,
+    iris_train_test_split,
     load_csv,
     load_iris,
     make_xor,
@@ -105,20 +106,32 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _train_once(
-    cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray, hidden: tuple[int, ...], seed: int
+    cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray, hidden: tuple[int, ...], seed: int,
+    trainer: str | None = None,
 ):
+    """Fit one net with ``trainer`` (``cfg.trainer`` when None): "kar",
+    "gd", or "representation" for the random-hidden trainer."""
     spec = NetworkSpec(
         input_dim=x.shape[1], hidden=hidden, output_dim=y.shape[1], seed=seed
     )
-    if cfg.trainer == "gd":
-        gcfg = GdConfig(
-            spec=spec,
-            learning_rate=cfg.learning_rate,
-            max_iters=cfg.max_iters,
+    trainer = trainer or cfg.trainer
+    if trainer == "gd":
+        return train_gd(x, y, GdConfig(
+            spec=spec, learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
             gradient_clip=cfg.gradient_clip,
-        )
-        return train_gd(x, y, gcfg)
-    return train_n_layer(x, y, KarConfig(spec=spec, rcond=cfg.rcond))
+        ))
+    fit = train_random_hidden if trainer == "representation" else train_n_layer
+    return fit(x, y, KarConfig(spec=spec, rcond=cfg.rcond))
+
+
+def _scaled(train: Dataset, test: Dataset, eps: float) -> tuple[Dataset, Dataset]:
+    """Min-max scale ``train``, and ``test`` with the training statistics."""
+    train_s = scale_minmax(train, eps)
+    return train_s, apply_scaling(test, train_s.scaling, eps)
+
+
+def _test_error(net: Network, test: Dataset) -> float:
+    return error_rate(forward(net, test.x), test.y)
 
 
 def _unit_seed(*parts: int) -> int:
@@ -158,15 +171,13 @@ def _write_rows_csv(path, header: list[str], rows: list[list]) -> None:
 def run_xor_demo(cfg: ExperimentConfig) -> dict:
     """Train the two reference nets on the perturbed exclusive-or points and
     export a 101 x 101 output-surface grid over the unit square."""
-    ds = load_dataset(replace(cfg, dataset="xor"))
+    ds = make_xor()
     outdir = _output_dir(cfg)
 
     nets: dict[str, Network] = {}
     report: dict = {"command": "xor-demo", "seed": cfg.seed, "nets": {}}
     for tag, hidden in (("2layer", (2,)), ("5layer", (3, 3, 3, 3))):
-        net, train_rep = _train_once(
-            replace(cfg, trainer="kar"), ds.x, ds.y, hidden, cfg.seed
-        )
+        net, train_rep = _train_once(cfg, ds.x, ds.y, hidden, cfg.seed, trainer="kar")
         nets[tag] = net
         g = forward(net, ds.x)
         report["nets"][tag] = {
@@ -199,48 +210,38 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
     hidden layer is fit by a single output-layer solve, recording training
     SSE in both output and transformed space plus train/test error rates.
     """
-    from .data import iris_train_test_split
-
-    ds = load_iris()
-    train, test = iris_train_test_split(ds)
-    train = scale_minmax(train, cfg.scale_eps)
-    test = apply_scaling(test, train.scaling, cfg.scale_eps)
-
+    train, test = _scaled(*iris_train_test_split(load_iris()), cfg.scale_eps)
     grid = cfg.grid or IRIS_SWEEP_GRID
     outdir = _output_dir(cfg)
 
-    rows = []
-    per_h: dict[int, dict[str, list[float]]] = {}
+    rows = []  # (h, trial, train SSE, transformed SSE, train error, test error)
     for h in grid:
-        acc = per_h.setdefault(
-            int(h),
-            {"train_sse": [], "train_sse_transformed": [], "train_err": [], "test_err": []},
-        )
         for trial in range(cfg.trials):
             seed = _unit_seed(cfg.seed, h, trial)
-            spec = NetworkSpec(
-                input_dim=train.n_features, hidden=(int(h),),
-                output_dim=train.class_count, seed=seed,
+            net, rep = _train_once(
+                cfg, train.x, train.y, (int(h),), seed, trainer="representation"
             )
-            net, rep = train_random_hidden(
-                train.x, train.y, KarConfig(spec=spec, rcond=cfg.rcond)
-            )
-            test_err = error_rate(forward(net, test.x), test.y)
-            rows.append(
-                [int(h), trial, repr(rep.train_sse), repr(rep.train_sse_transformed),
-                 repr(rep.train_error_rate), repr(test_err)]
-            )
-            acc["train_sse"].append(rep.train_sse)
-            acc["train_sse_transformed"].append(rep.train_sse_transformed)
-            acc["train_err"].append(rep.train_error_rate)
-            acc["test_err"].append(test_err)
+            rows.append((int(h), trial, rep.train_sse, rep.train_sse_transformed,
+                         rep.train_error_rate, _test_error(net, test)))
 
     _write_rows_csv(
         outdir / "sweep.csv",
         ["h", "trial", "train_sse", "train_sse_transformed", "train_error_rate",
          "test_error_rate"],
-        rows,
+        [[h, trial, *map(repr, values)] for h, trial, *values in rows],
     )
+    per_h = {}
+    for h in dict.fromkeys(int(h) for h in grid):
+        # one 1-D array per statistic: a 2-D axis-0 mean sums in another order
+        sse, sse_t, train_err, test_err = map(np.array, zip(*(r[2:] for r in rows if r[0] == h)))
+        per_h[str(h)] = {
+            "mean_train_sse": float(np.mean(sse)),
+            "max_train_sse": float(np.max(sse)),
+            "mean_train_sse_transformed": float(np.mean(sse_t)),
+            "max_train_sse_transformed": float(np.max(sse_t)),
+            "mean_train_error_rate": float(np.mean(train_err)),
+            "mean_test_error_rate": float(np.mean(test_err)),
+        }
     report = {
         "command": "iris-sweep",
         "seed": cfg.seed,
@@ -248,17 +249,7 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
         "grid": [int(h) for h in grid],
         "scale_eps": cfg.scale_eps,
         "sweep_file": "sweep.csv",
-        "per_h": {
-            str(h): {
-                "mean_train_sse": float(np.mean(v["train_sse"])),
-                "max_train_sse": float(np.max(v["train_sse"])),
-                "mean_train_sse_transformed": float(np.mean(v["train_sse_transformed"])),
-                "max_train_sse_transformed": float(np.max(v["train_sse_transformed"])),
-                "mean_train_error_rate": float(np.mean(v["train_err"])),
-                "mean_test_error_rate": float(np.mean(v["test_err"])),
-            }
-            for h, v in per_h.items()
-        },
+        "per_h": per_h,
     }
     write_report(report, outdir / "report.json")
     return report
@@ -271,18 +262,18 @@ def _select_hidden(
     ties in mean accuracy break toward the smaller hidden size."""
     inner_k = min(cfg.folds, train.n_samples)
     plan = stratified_folds(train.labels, inner_k, trial_seed)
-    scaled = []  # each inner fold's scaled (train, validation) pair, made once
-    for fold in range(inner_k):
-        tr_s = scale_minmax(split_rows(train, plan.train_indices(fold)), cfg.scale_eps)
-        va = split_rows(train, plan.test_indices(fold))
-        scaled.append((tr_s, apply_scaling(va, tr_s.scaling, cfg.scale_eps)))
+    scaled = [  # each inner fold's scaled (train, validation) pair, made once
+        _scaled(split_rows(train, plan.train_indices(fold)),
+                split_rows(train, plan.test_indices(fold)), cfg.scale_eps)
+        for fold in range(inner_k)
+    ]
     best_h, best_acc = None, -1.0
     for h in sorted(cfg.grid):
         accs = []
         for fold, (tr_s, va_s) in enumerate(scaled):
             seed = _unit_seed(trial_seed, h, fold)
             net, _ = _train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(int(h)), seed)
-            accs.append(1.0 - error_rate(forward(net, va_s.x), va_s.y))
+            accs.append(1.0 - _test_error(net, va_s))
         mean_acc = float(np.mean(accs))
         if mean_acc > best_acc:
             best_h, best_acc = int(h), mean_acc
@@ -314,9 +305,9 @@ def run_cv(cfg: ExperimentConfig) -> dict:
         plan = stratified_folds(ds.labels, cfg.folds, plan_seed)
         for fold in range(cfg.folds):
             train = split_rows(ds, plan.train_indices(fold))
-            test = split_rows(ds, plan.test_indices(fold))
-            train_s = scale_minmax(train, cfg.scale_eps)
-            test_s = apply_scaling(test, train_s.scaling, cfg.scale_eps)
+            train_s, test_s = _scaled(
+                train, split_rows(ds, plan.test_indices(fold)), cfg.scale_eps
+            )
             t0 = time.perf_counter()
             hidden = (
                 _select_hidden(cfg, train, _unit_seed(cfg.seed, trial, fold))
@@ -328,7 +319,7 @@ def run_cv(cfg: ExperimentConfig) -> dict:
             t0 = time.perf_counter()
             net, rep = _train_once(cfg, train_s.x, train_s.y, hidden, seed)
             train_time = time.perf_counter() - t0
-            acc = 1.0 - error_rate(forward(net, test_s.x), test_s.y)
+            acc = 1.0 - _test_error(net, test_s)
             rows.append(
                 {
                     "trial": trial,
@@ -369,8 +360,7 @@ def run_train(cfg: ExperimentConfig) -> dict:
     ds = load_dataset(cfg)
     outdir = _output_dir(cfg)
     scaled = scale_minmax(ds, cfg.scale_eps)
-    hidden = cfg.layers
-    net, rep = _train_once(cfg, scaled.x, scaled.y, hidden, cfg.seed)
+    net, rep = _train_once(cfg, scaled.x, scaled.y, cfg.layers, cfg.seed)
     from .network import save_network
 
     save_network(net, outdir / "weights.json")

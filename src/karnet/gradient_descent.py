@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import apply_phi
+from .activations import LOGIT_SIGMOID, apply_phi
 from .errors import ConfigError, NumericalError, check_finite
 from .linalg import as_matrix
 from .network import Network, NetworkSpec, forward
@@ -60,8 +60,7 @@ def initial_network(cfg: GdConfig) -> Network:
     input sits at the domain center.
     """
     rng = np.random.default_rng(cfg.spec.seed)
-    pair = cfg.spec.pair()
-    mid = 0.5 * (pair.lo + pair.hi)
+    mid = 0.5 * (LOGIT_SIGMOID.lo + LOGIT_SIGMOID.hi)
     weights = []
     for k, (rows, cols) in enumerate(cfg.spec.weight_shapes):
         scale = 0.5 / np.sqrt(rows - 1)
@@ -78,7 +77,7 @@ def sse_and_gradients(net: Network, x, y):
     """Output-space SSE and its gradient with respect to every weight."""
     xm = as_matrix(x, "x")
     ym = as_matrix(y, "y")
-    pair = net.spec.pair()
+    pair = LOGIT_SIGMOID
     lo, hi = pair.lo + pair.clamp_eps, pair.hi - pair.clamp_eps
     cache: list = []
     resid = forward(net, xm, cache) - ym
@@ -114,7 +113,7 @@ def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
     cache: list = []
     forward(net, xm, cache)
     return net, _finish_report(
-        net, cache[-2], apply_phi(net.spec.pair(), ym), ym, t0, trainer="gd",
+        net, cache[-2], apply_phi(LOGIT_SIGMOID, ym), ym, t0, trainer="gd",
         iterations=cfg.max_iters, init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
     )
 

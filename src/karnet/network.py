@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationPair, get_pair
+from .activations import LOGIT_SIGMOID
 from .errors import ConfigError, DataError, DimensionError, KarnetError
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Network",
     "add_bias_column",
     "forward",
-    "random_init",
     "network_to_json",
     "network_from_json",
     "save_network",
@@ -37,12 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture description: layer sizes, activation pair, init seed."""
+    """Architecture description: layer sizes and init seed.  Every layer
+    applies ``LOGIT_SIGMOID``, whose name the dict form records."""
 
     input_dim: int
     hidden: tuple[int, ...]
     output_dim: int
-    activation: str = "logit-sigmoid"
     seed: int = 0
 
     def __post_init__(self):
@@ -60,27 +59,28 @@ class NetworkSpec:
         sizes = [self.input_dim, *self.hidden, self.output_dim]
         return [(sizes[k] + 1, sizes[k + 1]) for k in range(len(sizes) - 1)]
 
-    def pair(self) -> ActivationPair:
-        return get_pair(self.activation)
-
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
             "hidden": list(self.hidden),
             "output_dim": self.output_dim,
-            "activation": self.activation,
+            "activation": LOGIT_SIGMOID.name,
             "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        return cls(
+        """Read a dict form; an activation other than LOGIT_SIGMOID's is a DataError."""
+        spec = cls(
             input_dim=int(d["input_dim"]),
             hidden=tuple(d["hidden"]),
             output_dim=int(d["output_dim"]),
-            activation=d.get("activation", "logit-sigmoid"),
             seed=int(d.get("seed", 0)),
         )
+        name = d.get("activation", LOGIT_SIGMOID.name)
+        if name != LOGIT_SIGMOID.name:
+            raise DataError(f"unknown activation pair {name!r} (known: {LOGIT_SIGMOID.name})")
+        return spec
 
 
 @dataclass
@@ -120,25 +120,16 @@ def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
         raise DimensionError(
             f"input must be (m, {net.spec.input_dim}), got {xm.shape}"
         )
-    pair = net.spec.pair()
     a = add_bias_column(xm)
     g = None
     for w in net.weights:
         z = a @ w
-        pair.clamp(z, out=z)
+        LOGIT_SIGMOID.clamp(z, out=z)
         if cache is not None:
             cache += (a, z)
-        g = pair.forward(z)
+        g = LOGIT_SIGMOID.forward(z)
         a = add_bias_column(g)
     return g
-
-
-def random_init(spec: NetworkSpec, rng: np.random.Generator | None = None) -> Network:
-    """Fill every layer i.i.d. uniform on (0, 1) from a seeded generator."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    weights = [rng.uniform(0.0, 1.0, size=shape) for shape in spec.weight_shapes]
-    return Network(spec=spec, weights=weights)
 
 
 def network_to_json(net: Network) -> str:

@@ -30,11 +30,11 @@ to the number of samples a network can fit exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .activations import apply_f, apply_phi
+from .activations import LOGIT_SIGMOID, apply_f, apply_phi
 from .errors import ConfigError, DimensionError, NumericalError, check_finite
 from .linalg import as_matrix, lstsq, pinv, require_rank
 from .network import Network, NetworkSpec, add_bias_column
@@ -93,21 +93,10 @@ class TrainReport:
             raise NumericalError(f"{self.trainer} fit ended with a non-finite SSE or weight norm")
 
     def to_dict(self) -> dict:
-        d = {
-            "trainer": self.trainer,
-            "train_sse": self.train_sse,
-            "train_sse_transformed": self.train_sse_transformed,
-            "train_error_rate": self.train_error_rate,
-            "wall_time": self.wall_time,
-            "seed": self.seed,
-            "spec": self.spec,
-            "weight_norms": self.weight_norms,
-            "solve_count": self.solve_count,
-            "peel_chains": self.peel_chains,
-            "init_style": self.init_style,
-        }
-        if self.iterations is not None:
-            d["iterations"] = self.iterations
+        """Every field; ``iterations`` only when the trainer iterates."""
+        d = asdict(self)
+        if self.iterations is None:
+            del d["iterations"]
         return d
 
 
@@ -176,7 +165,7 @@ def _finish_report(
     ``fields`` name the trainer and its counts."""
     z = a @ net.weights[-1]
     r = z - target
-    g = apply_f(net.spec.pair(), z)
+    g = apply_f(LOGIT_SIGMOID, z)
     return TrainReport(
         train_sse=float(np.sum((g - y) ** 2)),
         train_sse_transformed=float(np.sum(r * r)),
@@ -196,7 +185,6 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     xm, ym = _check_spec(cfg.spec, x, y)
     spec = cfg.spec
     n = spec.n_layers
-    pair = spec.pair()
     rng = np.random.default_rng(spec.seed)
     shapes = spec.weight_shapes
 
@@ -209,25 +197,26 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     # outermost first (the bias row broadcasts: 1 w_k^T bit for bit); records
     # one target matrix per layer
     peeled: list[np.ndarray | None] = [None] * (n + 1)
-    peeled[n] = apply_phi(pair, ym)
+    peeled[n] = apply_phi(LOGIT_SIGMOID, ym)
     for k in range(n, 1, -1):
         wk = weights[k - 1]
         node_inv = require_rank(
             pinv(wk[1:, :], rcond=cfg.rcond), f"random node block of layer {k}"
         ).pinv
         raw = (peeled[k] - wk[0, :]) @ node_inv
-        peeled[k - 1] = apply_phi(pair, _finite_or_raise(raw, k, "peeled target"))
+        peeled[k - 1] = apply_phi(LOGIT_SIGMOID, _finite_or_raise(raw, k, "peeled target"))
         del raw
 
     # first layer from the fully peeled target, then layers 2..n in order,
     # each against its peeled target with the layers behind it still random;
-    # solved targets and pre-activations are dropped before the next solve
+    # solved targets, pre-activations and old activations go once used
     a = add_bias_column(xm)
     weights[0] = _solve(a, peeled[1], cfg.rcond, "input matrix")
     for k in range(2, n + 1):
         peeled[k - 1] = None
         z = _finite_or_raise(a @ weights[k - 2], k - 1, "pre-activation")
-        a = add_bias_column(apply_f(pair, z))
+        del a
+        a = add_bias_column(apply_f(LOGIT_SIGMOID, z))
         del z
         weights[k - 1] = _solve(
             a, peeled[k], cfg.rcond, f"activation matrix of layer {k}"
@@ -284,7 +273,6 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     spec = cfg.spec
     if spec.n_layers < 2:
         raise ConfigError("train_random_hidden requires at least one hidden layer")
-    pair = spec.pair()
     rng = np.random.default_rng(spec.seed)
 
     weights: list[np.ndarray] = []
@@ -295,9 +283,12 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
         else:
             w = _centered_ridge(rng, a, h)
         weights.append(w)
-        a = add_bias_column(apply_f(pair, _finite_or_raise(a @ w, k, "pre-activation")))
+        z = _finite_or_raise(a @ w, k, "pre-activation")
+        del a  # the old activation matrix goes before the next one is made
+        a = add_bias_column(apply_f(LOGIT_SIGMOID, z))
+        del z
 
-    target = apply_phi(pair, ym)
+    target = apply_phi(LOGIT_SIGMOID, ym)
     if spec.n_layers == 2:
         node = _solve(a[:, 1:], target, cfg.rcond, "hidden activation matrix")
         w_out = np.vstack([np.zeros((1, spec.output_dim)), node])

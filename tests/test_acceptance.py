@@ -27,7 +27,6 @@ from karnet import (
     forward,
     make_xor,
     pinv,
-    random_init,
     scale_minmax,
     solve_least_squares,
     train_gd,
@@ -265,21 +264,33 @@ def test_criterion_6b_iris_sweep_test_error_envelope(iris_sweep_result):
 
 def test_criterion_7_gradient_check():
     """Backprop matches central finite differences to 1e-4 relative on 20
-    random small networks."""
+    random small networks, each at gradient descent's own initialisation
+    and each with some nonzero gradient entry to check."""
+    from karnet.gradient_descent import initial_network, sse_and_gradients
+
     rng = np.random.default_rng(707)
     worst = 0.0
+    nonzero = total = 0
+    all_nets_nonzero = True
     for trial in range(20):
         d = int(rng.integers(1, 5))
         q = int(rng.integers(1, 3))
         hidden = tuple(int(h) for h in rng.integers(2, 6, size=int(rng.integers(1, 3))))
         m = int(rng.integers(2, 10))
         spec = NetworkSpec(d, hidden, q, seed=trial)
-        net = random_init(spec, np.random.default_rng(trial))
+        net = initial_network(GdConfig(spec=spec))
         x = rng.uniform(0.05, 0.95, size=(m, d))
         y = rng.uniform(0.1, 0.9, size=(m, q))
+        _, grads = sse_and_gradients(net, x, y)
+        entries = sum(int(np.count_nonzero(g)) for g in grads)
+        all_nets_nonzero &= entries > 0
+        nonzero += entries
+        total += sum(g.size for g in grads)
         worst = max(worst, check_gradient(net, x, y))
-    ok = worst <= 1e-4
-    report("7 gradient-check", ok, f"worst rel err {worst:.2e}")
+    ok = worst <= 1e-4 and all_nets_nonzero
+    report("7 gradient-check", ok,
+           f"worst rel err {worst:.2e}, {nonzero} of {total} gradient entries nonzero")
+    assert all_nets_nonzero
     assert worst <= 1e-4
 
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from karnet import ConfigError, apply_f, apply_phi, get_pair
+from karnet import LOGIT_SIGMOID, apply_f, apply_phi
 
-PAIR = get_pair("logit-sigmoid")
+PAIR = LOGIT_SIGMOID
 
 
 class TestApplyF:
@@ -115,8 +115,3 @@ class TestInPlaceEvaluation:
     def test_python_scalar(self):
         assert float(apply_f(PAIR, 0.3)) == float(_old_apply_f(0.3))
         assert float(apply_phi(PAIR, 0.3)) == float(_old_apply_phi(0.3))
-
-
-def test_unknown_pair_name():
-    with pytest.raises(ConfigError):
-        get_pair("relu")

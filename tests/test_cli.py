@@ -71,10 +71,22 @@ class TestSubcommands:
         rep = json.loads((tmp_path / "report.json").read_text())
         assert len(rep["rows"]) == 5
 
-    def test_gradient_check(self, capsys):
+    def test_gradient_check(self, capsys, monkeypatch):
+        import karnet.gradient_descent as gd
+
+        checked = []
+        original = gd.check_gradient
+
+        def recording(net, x, y):
+            _, grads = gd.sse_and_gradients(net, x, y)
+            checked.append(sum(int(np.count_nonzero(g)) for g in grads))
+            return original(net, x, y)
+
+        monkeypatch.setattr(gd, "check_gradient", recording)
         assert run_cli("gradient-check", "--seed", "0") == EXIT_OK
         out = json.loads(capsys.readouterr().out.strip())
         assert out["max_relative_error"] <= 1e-4
+        assert checked and checked[0] > 0  # backprop is not zero everywhere
 
 
 class TestConfigFile:
@@ -188,6 +200,13 @@ class TestExitCodes:
         assert outs[0] == outs[1]
 
 
+# an iris-shaped one-layer weights file, well formed but for its activation
+_TANH_WEIGHTS = json.dumps({
+    "spec": {"input_dim": 4, "hidden": [], "output_dim": 3, "activation": "tanh", "seed": 0},
+    "weights": [{"rows": 5, "cols": 3, "data": [0.0] * 15}],
+})
+
+
 def run_cli_process(*argv):
     """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
     import os
@@ -231,7 +250,9 @@ class TestFailureContract:
         assert "row 2" in err and "column 2" in err
 
     @pytest.mark.parametrize(
-        "content", ["{}", "not json", '{"spec": {"input_dim": 4}}', '{"spec": [], "weights": 3}']
+        "content",
+        ["{}", "not json", '{"spec": {"input_dim": 4}}', '{"spec": [], "weights": 3}',
+         pytest.param(_TANH_WEIGHTS, id="unknown-activation")],
     )
     def test_malformed_weights_is_data_error(self, tmp_path, content):
         weights = tmp_path / "weights.json"
@@ -241,6 +262,8 @@ class TestFailureContract:
         )
         assert code == EXIT_DATA
         assert "Traceback" not in err
+        if content is _TANH_WEIGHTS:
+            assert "unknown activation pair 'tanh'" in err
 
     def test_uncreatable_out_is_config_error(self, tmp_path):
         blocker = tmp_path / "file"

@@ -8,7 +8,6 @@ from karnet import (
     NetworkSpec,
     check_gradient,
     forward,
-    random_init,
     train_gd,
 )
 from karnet.gradient_descent import initial_network, sse_and_gradients
@@ -22,18 +21,27 @@ def small_problem(seed, m=8, d=3, hidden=(4,), q=2):
     return x, y, spec
 
 
+def some_gradient_is_nonzero(net, x, y) -> bool:
+    """A gradient check tests something only where backprop is not zero."""
+    _, grads = sse_and_gradients(net, x, y)
+    return any(np.any(g != 0.0) for g in grads)
+
+
 class TestCheckGradient:
     def test_random_small_networks(self):
         for seed in range(5):
             x, y, spec = small_problem(seed)
-            net = random_init(spec)
+            net = initial_network(GdConfig(spec=spec))
+            assert some_gradient_is_nonzero(net, x, y)
             assert check_gradient(net, x, y) <= 1e-4
 
     def test_single_sample(self):
         x = np.full((1, 3), 0.5)
         y = np.array([[0.3, 0.7]])
         spec = NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=0)
-        assert check_gradient(random_init(spec), x, y) <= 1e-4
+        net = initial_network(GdConfig(spec=spec))
+        assert some_gradient_is_nonzero(net, x, y)
+        assert check_gradient(net, x, y) <= 1e-4
 
     def test_stationary_at_exact_fit(self):
         """At a zero-residual network the gradient vanishes."""
@@ -54,7 +62,7 @@ class TestCheckGradient:
         x, y, _ = small_problem(0)
         spec = NetworkSpec(input_dim=3, hidden=(60,), output_dim=2)
         with pytest.raises(ConfigError):
-            check_gradient(random_init(spec), x, y)
+            check_gradient(initial_network(GdConfig(spec=spec)), x, y)
 
 
 class TestTrainGd:

@@ -1,30 +1,35 @@
-"""Network model tests: shapes, forward pass, init determinism, JSON."""
+"""Network model tests: shapes, forward pass, JSON."""
 
 import numpy as np
 import pytest
 
 from karnet import (
+    LOGIT_SIGMOID,
     ConfigError,
     DimensionError,
+    GdConfig,
     Network,
     NetworkSpec,
     apply_f,
     apply_phi,
     forward,
-    get_pair,
     network_from_json,
     network_to_json,
     pinv,
-    random_init,
 )
+from karnet.gradient_descent import initial_network
 from karnet.network import add_bias_column
+
+
+def some_network(spec):
+    return initial_network(GdConfig(spec=spec))
 
 
 class TestSpecAndShapes:
     def test_weight_shapes_chain(self):
         spec = NetworkSpec(input_dim=4, hidden=(90,), output_dim=3)
         assert spec.weight_shapes == [(5, 90), (91, 3)]
-        net = random_init(spec)
+        net = some_network(spec)
         assert net.weights[0].shape == (5, 90)
         assert net.weights[1].shape == (91, 3)
 
@@ -47,34 +52,13 @@ class TestSpecAndShapes:
             Network(spec=spec, weights=[np.zeros((3, 3))])
 
 
-class TestRandomInit:
-    def test_same_seed_bitwise_identical(self):
-        spec = NetworkSpec(input_dim=3, hidden=(4, 2), output_dim=2, seed=11)
-        a, b = random_init(spec), random_init(spec)
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
-
-    def test_different_seeds_differ(self):
-        s1 = NetworkSpec(input_dim=3, hidden=(4,), output_dim=1, seed=1)
-        s2 = NetworkSpec(input_dim=3, hidden=(4,), output_dim=1, seed=2)
-        assert any(
-            not np.array_equal(wa, wb)
-            for wa, wb in zip(random_init(s1).weights, random_init(s2).weights)
-        )
-
-    def test_open_unit_interval(self):
-        spec = NetworkSpec(input_dim=5, hidden=(20,), output_dim=3, seed=0)
-        for w in random_init(spec).weights:
-            assert np.all((w > 0.0) & (w < 1.0))
-
-
 class TestForward:
     def test_zero_weights_constant_output(self):
         """Zero weights force every pre-activation to 0, which clamps to the
         domain floor, so the output is the constant f(clamped 0)."""
         spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1)
         net = Network(spec=spec, weights=[np.zeros((3, 3)), np.zeros((4, 1))])
-        pair = get_pair("logit-sigmoid")
+        pair = LOGIT_SIGMOID
         expected = apply_f(pair, np.zeros((1, 1)))[0, 0]
         out = forward(net, np.random.default_rng(0).uniform(0.1, 0.9, (4, 2)))
         np.testing.assert_allclose(out, expected)
@@ -83,7 +67,7 @@ class TestForward:
         """With m = d + 1 full-rank inputs the augmented system is square:
         solving the transformed targets reproduces them through the net."""
         rng = np.random.default_rng(3)
-        pair = get_pair("logit-sigmoid")
+        pair = LOGIT_SIGMOID
         x = rng.uniform(0.05, 0.95, size=(4, 3))
         y = rng.uniform(0.1, 0.9, size=(4, 2))
         w1 = pinv(add_bias_column(x)).pinv @ apply_phi(pair, y)
@@ -101,27 +85,27 @@ class TestForward:
             m = int(rng.integers(1, 9))
             spec = NetworkSpec(input_dim=d, hidden=hidden, output_dim=q,
                                seed=int(rng.integers(0, 1000)))
-            net = random_init(spec)
+            net = some_network(spec)
             out = forward(net, rng.uniform(0.1, 0.9, size=(m, d)))
             assert out.shape == (m, q)
             assert np.all(np.isfinite(out))
 
     def test_forward_is_pure(self):
         spec = NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=9)
-        net = random_init(spec)
+        net = some_network(spec)
         x = np.random.default_rng(5).uniform(0.1, 0.9, (6, 3))
         np.testing.assert_array_equal(forward(net, x), forward(net, x))
 
     def test_dimension_mismatch(self):
         spec = NetworkSpec(input_dim=3, hidden=(2,), output_dim=1)
         with pytest.raises(DimensionError):
-            forward(random_init(spec), np.ones((4, 2)))
+            forward(some_network(spec), np.ones((4, 2)))
 
 
 class TestSerialization:
     def test_json_roundtrip_bit_exact(self):
         spec = NetworkSpec(input_dim=3, hidden=(5, 4), output_dim=2, seed=123)
-        net = random_init(spec)
+        net = some_network(spec)
         clone = network_from_json(network_to_json(net))
         assert clone.spec == net.spec
         for wa, wb in zip(net.weights, clone.weights):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from karnet import (
+    LOGIT_SIGMOID,
     GdConfig,
     KarConfig,
     NetworkSpec,
     apply_phi,
     error_rate,
     forward,
-    get_pair,
     make_xor,
     train_gd,
     train_n_layer,
@@ -21,7 +21,7 @@ from karnet.errors import RankDeficiencyError
 from karnet.linalg import lstsq, pinv, require_rank
 from karnet.training import GUARD_KAPPA, GUARD_TRIES, _guarded_uniform
 
-PAIR = get_pair("logit-sigmoid")
+PAIR = LOGIT_SIGMOID
 
 
 def spec_for(x, y, hidden, seed=0):
@@ -263,26 +263,28 @@ class TestReportFromOwnActivations:
 
     def test_fit_working_set_is_a_small_multiple_of_the_output_matrix(self):
         """Peak traced memory of one tall fit stays within 4x the bytes of
-        [1, G_1]. The peak (about 3.1x) comes while [1, G_1] is built: the
-        pre-activation, its activation and the matrix itself."""
+        [1, G_{n-1}]. The peak (about 3.1x) comes while that matrix is built:
+        the pre-activation, its activation and the matrix itself.  With two
+        random hidden layers the first layer's matrix is gone by then."""
         import tracemalloc
 
         m, d, h, q = 5000, 16, 256, 4
         rng = np.random.default_rng(0)
         x = rng.uniform(0.01, 0.99, size=(m, d))
         y = np.eye(q)[rng.integers(0, q, size=m)]
-        cfg = KarConfig(spec=spec_for(x, y, (h,), seed=3))
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            train_n_layer(x, y, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak <= 4 * m * (h + 1) * 8
+        for trainer, hidden in ((train_n_layer, (h,)), (train_random_hidden, (h, h))):
+            cfg = KarConfig(spec=spec_for(x, y, hidden, seed=3))
+            started = not tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                trainer(x, y, cfg)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if started:
+                    tracemalloc.stop()
+            assert peak <= 4 * m * (h + 1) * 8, trainer.__name__
 
 
 def _hidden_full_rank(net, x, m):
