@@ -153,9 +153,13 @@ def _cmd_gradient_check(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.05, 0.95, size=(6, 3))
     y = rng.uniform(0.1, 0.9, size=(6, 2))
-    worst = check_gradient(net, x, y)
-    print(json.dumps({"max_relative_error": worst, "tolerance": 1e-4}))
-    return EXIT_OK if worst <= 1e-4 else EXIT_NUMERIC
+    check = check_gradient(net, x, y)
+    print(json.dumps({**check._asdict(), "tolerance": 1e-4}))
+    if check.nonzero == 0:
+        print("error: every backprop entry is zero, so the check compared nothing",
+              file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK if check.max_relative_error <= 1e-4 else EXIT_NUMERIC
 
 
 def main(argv=None) -> int:

@@ -84,14 +84,8 @@ class ExperimentConfig:
         check_finite("rcond", self.rcond, positive=False)
 
     def hidden_for(self, h: int) -> tuple[int, ...]:
-        """Hidden sizes for a grid value under the architecture pattern."""
-        if self.pattern == "exp2":
-            return (h,)
-        if self.pattern == "exp3":
-            return (2 * h, h)
-        if self.pattern == "exp4":
-            return (4 * h, 2 * h, h)
-        return self.layers
+        """Hidden sizes for a grid value under an exp2, exp3 or exp4 pattern."""
+        return {"exp2": (h,), "exp3": (2 * h, h), "exp4": (4 * h, 2 * h, h)}[self.pattern]
 
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -285,15 +279,21 @@ def run_cv(cfg: ExperimentConfig) -> dict:
 
     Fold plans depend only on (seed, trial), never on the trainer, so
     different trainers evaluated with the same seed see identical splits.
-    When a sweep grid is configured, the hidden size is selected per fold
-    by an inner cross-validation on the training subset only.  Each row
-    times that selection (``select_wall_time``) apart from the final fit
-    (``train_wall_time``); ``aggregate.total_wall_time`` is their sum.
+    A sweep grid comes with an exp2, exp3 or exp4 pattern (one needs the
+    other); the hidden size is then selected per fold by an inner
+    cross-validation on the training subset only, and ``layers`` is trained
+    otherwise.  Each row times that selection (``select_wall_time``) apart
+    from the final fit (``train_wall_time``); ``aggregate.total_wall_time``
+    is their sum.
     """
     ds = load_dataset(cfg)
     if ds.labels is None or ds.class_count < 2:
         raise ConfigError("cross-validation requires a labelled dataset")
-    if not cfg.grid and not cfg.layers and cfg.pattern == "fixed":
+    if cfg.grid and cfg.pattern == "fixed":
+        raise ConfigError("cv --grid needs --pattern exp2, exp3 or exp4 to size its nets")
+    if cfg.pattern != "fixed" and not cfg.grid:
+        raise ConfigError(f"cv --pattern {cfg.pattern} needs a sweep --grid")
+    if not cfg.grid and not cfg.layers:
         raise ConfigError("cv needs --layers or a sweep --grid")
     if cfg.folds > ds.n_samples:
         raise ConfigError(f"folds={cfg.folds} exceed {ds.n_samples} samples")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "GdConfig",
     "initial_network",
     "train_gd",
+    "GradientCheck",
     "check_gradient",
     "sse_and_gradients",
 ]
@@ -118,8 +120,17 @@ def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
     )
 
 
-def check_gradient(net: Network, x, y, step: float = 1e-5) -> float:
-    """Max relative error between backprop and central finite differences.
+class GradientCheck(NamedTuple):
+    """Worst relative error, nonzero backprop entries and entries compared;
+    with no nonzero entry the check compared only zeros and tested nothing."""
+
+    max_relative_error: float
+    nonzero: int
+    compared: int
+
+
+def check_gradient(net: Network, x, y, step: float = 1e-5) -> GradientCheck:
+    """Compare backprop with central finite differences, entry by entry.
 
     Intended for small networks; refuses more than 200 total weights.
     """
@@ -129,24 +140,16 @@ def check_gradient(net: Network, x, y, step: float = 1e-5) -> float:
     xm = as_matrix(x, "x")
     ym = as_matrix(y, "y")
     _, grads = sse_and_gradients(net, xm, ym)
-
-    def loss_at() -> float:
-        loss, _ = sse_and_gradients(net, xm, ym)
-        return loss
-
     worst = 0.0
     for w, g in zip(net.weights, grads):
-        it = np.nditer(w, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
+        for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + step
-            up = loss_at()
+            up = sse_and_gradients(net, xm, ym)[0]
             w[idx] = orig - step
-            dn = loss_at()
+            dn = sse_and_gradients(net, xm, ym)[0]
             w[idx] = orig
             numeric = (up - dn) / (2.0 * step)
-            denom = max(abs(numeric), abs(g[idx]), 1e-8)
-            worst = max(worst, abs(numeric - g[idx]) / denom)
-            it.iternext()
-    return worst
+            worst = max(worst, abs(numeric - g[idx]) / max(abs(numeric), abs(g[idx]), 1e-8))
+    nonzero = sum(int(np.count_nonzero(g)) for g in grads)
+    return GradientCheck(worst, nonzero, total)

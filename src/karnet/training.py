@@ -5,7 +5,8 @@ inverting the activation around each layer.  With the inverse transform phi
 and targets Y:
 
 * one layer: ``W1 = pinv([1, X]) @ phi(Y)``.
-* n layers: later layers are assigned random weights; peeling the bias
+* n layers: later layers are assigned random weights (a uniform(0,1) bias
+  row over a node block with orthonormal columns or rows); peeling the bias
   row w_k and node block of each random layer off the transformed targets
   from the outside in yields a target matrix for every layer,
 
@@ -47,19 +48,12 @@ __all__ = [
     "train_random_hidden",
 ]
 
-GUARD_KAPPA = 10.0
-GUARD_TRIES = 20
-
-
 @dataclass(frozen=True)
 class KarConfig:
     """Configuration for the analytic trainers.
 
     The spec's seed draws the random layers; ``rcond`` (finite and >= 0)
-    overrides the singular-value cutoff of every solve.  Random layer draws
-    whose node block has condition number above ``GUARD_KAPPA`` are redrawn
-    (up to ``GUARD_TRIES`` times) to guard against degenerate
-    initializations; a block too wide for any draw to pass is drawn once.
+    overrides the singular-value cutoff of every solve.
     """
 
     spec: NetworkSpec
@@ -85,7 +79,7 @@ class TrainReport:
     solve_count: int = 0
     peel_chains: int = 0
     iterations: int | None = None
-    init_style: str = "uniform(0,1)"
+    init_style: str = "n/a"
 
     def __post_init__(self):
         values = [self.train_sse, self.train_sse_transformed, *self.weight_norms]
@@ -126,25 +120,20 @@ def _check_spec(spec: NetworkSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
     return xm, ym
 
 
-def _guarded_uniform(
-    rng: np.random.Generator, shape: tuple[int, int], kappa: float, tries: int
-) -> np.ndarray:
-    """Uniform(0,1) draw, redrawn while the node block is badly conditioned.
+def _orthonormal_layer(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """One random layer in one draw: a uniform(0,1) bias row over a p x q
+    node block whose columns (p >= q) or rows (p < q) are orthonormal, so
+    every singular value of the block is 1.
 
-    When no draw passes within ``tries`` redraws, the last draw is kept.  A
-    node block whose shorter side q has 3q >= kappa^2 is drawn once and kept:
-    its mean entry of 1/2 puts kappa above about sqrt(3q + 1), so no redraw
-    can pass.
+    The block is the Q factor of a standard Gaussian matrix, each column's
+    sign taken from R's diagonal so that Q is Haar distributed (Mezzadri,
+    arXiv:math-ph/0609050); it is not rescaled.
     """
-    w = rng.uniform(0.0, 1.0, size=shape)
-    if 3 * min(shape[0] - 1, shape[1]) >= kappa * kappa:
-        return w
-    for _ in range(max(0, tries)):
-        s = np.linalg.svd(w[1:, :], compute_uv=False)
-        if s[-1] > 0.0 and s[0] / s[-1] <= kappa:
-            break
-        w = rng.uniform(0.0, 1.0, size=shape)
-    return w
+    p, q = shape[0] - 1, shape[1]
+    bias = rng.uniform(0.0, 1.0, size=(1, q))
+    node, r = np.linalg.qr(rng.standard_normal((max(p, q), min(p, q))))
+    node *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return np.vstack([bias, node if p >= q else node.T])
 
 
 def _finite_or_raise(m: np.ndarray, layer: int, what: str) -> np.ndarray:
@@ -191,7 +180,7 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     # random initialization of layers 2..n (bias rows and node blocks)
     weights: list[np.ndarray | None] = [None] * n
     for k in range(2, n + 1):
-        weights[k - 1] = _guarded_uniform(rng, shapes[k - 1], GUARD_KAPPA, GUARD_TRIES)
+        weights[k - 1] = _orthonormal_layer(rng, shapes[k - 1])
 
     # peeling chain: invert the random layers off the transformed targets,
     # outermost first (the bias row broadcasts: 1 w_k^T bit for bit); records
@@ -225,7 +214,7 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     net = Network(spec=spec, weights=list(weights))
     return net, _finish_report(
         net, a, peeled[n], ym, t0, trainer="kar", solve_count=n, peel_chains=int(n > 1),
-        init_style="uniform(0,1)" if n > 1 else "n/a",
+        init_style="orthonormal node block, uniform(0,1) bias" if n > 1 else "n/a",
     )
 
 

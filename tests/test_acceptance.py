@@ -266,7 +266,7 @@ def test_criterion_7_gradient_check():
     """Backprop matches central finite differences to 1e-4 relative on 20
     random small networks, each at gradient descent's own initialisation
     and each with some nonzero gradient entry to check."""
-    from karnet.gradient_descent import initial_network, sse_and_gradients
+    from karnet.gradient_descent import initial_network
 
     rng = np.random.default_rng(707)
     worst = 0.0
@@ -281,12 +281,11 @@ def test_criterion_7_gradient_check():
         net = initial_network(GdConfig(spec=spec))
         x = rng.uniform(0.05, 0.95, size=(m, d))
         y = rng.uniform(0.1, 0.9, size=(m, q))
-        _, grads = sse_and_gradients(net, x, y)
-        entries = sum(int(np.count_nonzero(g)) for g in grads)
-        all_nets_nonzero &= entries > 0
-        nonzero += entries
-        total += sum(g.size for g in grads)
-        worst = max(worst, check_gradient(net, x, y))
+        check = check_gradient(net, x, y)
+        all_nets_nonzero &= check.nonzero > 0
+        nonzero += check.nonzero
+        total += check.compared
+        worst = max(worst, check.max_relative_error)
     ok = worst <= 1e-4 and all_nets_nonzero
     report("7 gradient-check", ok,
            f"worst rel err {worst:.2e}, {nonzero} of {total} gradient entries nonzero")

@@ -71,22 +71,27 @@ class TestSubcommands:
         rep = json.loads((tmp_path / "report.json").read_text())
         assert len(rep["rows"]) == 5
 
-    def test_gradient_check(self, capsys, monkeypatch):
-        import karnet.gradient_descent as gd
-
-        checked = []
-        original = gd.check_gradient
-
-        def recording(net, x, y):
-            _, grads = gd.sse_and_gradients(net, x, y)
-            checked.append(sum(int(np.count_nonzero(g)) for g in grads))
-            return original(net, x, y)
-
-        monkeypatch.setattr(gd, "check_gradient", recording)
+    def test_gradient_check(self, capsys):
         assert run_cli("gradient-check", "--seed", "0") == EXIT_OK
         out = json.loads(capsys.readouterr().out.strip())
         assert out["max_relative_error"] <= 1e-4
-        assert checked and checked[0] > 0  # backprop is not zero everywhere
+        assert 0 < out["nonzero"] <= out["compared"]  # backprop is not zero everywhere
+
+    def test_gradient_check_that_compared_only_zeros_fails(self, capsys, monkeypatch):
+        import karnet.gradient_descent as gd
+
+        original = gd.initial_network
+
+        def saturated(cfg):
+            net = original(cfg)
+            net.weights[-1][0, :] = 1e3  # every output in the activation clamp
+            return net
+
+        monkeypatch.setattr(gd, "initial_network", saturated)
+        assert run_cli("gradient-check", "--seed", "0") == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip())["nonzero"] == 0
+        assert "compared nothing" in captured.err
 
 
 class TestConfigFile:
@@ -169,6 +174,19 @@ class TestExitCodes:
     def test_config_error(self, tmp_path):
         # cv without layers or grid
         assert run_cli("cv", "--data", "iris", "--out", str(tmp_path)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("options", [
+        ["--grid", "1,2,500"],  # the fixed pattern turns no grid value into a net
+        ["--grid", "1,2,500", "--layers", "5"],
+        ["--pattern", "exp2"],  # a pattern with no grid to apply it to
+        ["--pattern", "exp4", "--layers", "5"],
+    ])
+    def test_cv_grid_and_pattern_come_together(self, tmp_path, capsys, options):
+        code = run_cli("cv", "--data", "iris", *options, "--trials", "1", "--folds", "3",
+                       "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "needs" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -132,7 +132,7 @@ class TestRunCv:
     def test_wall_time_counts_model_selection(self, tmp_path):
         rep = run_cv(
             ExperimentConfig(dataset="iris", out=str(tmp_path), seed=0,
-                             trials=1, folds=3, grid=(2, 5))
+                             trials=1, folds=3, grid=(2, 5), pattern="exp2")
         )
         rows = rep["rows"]
         assert all(r["select_wall_time"] > 0.0 for r in rows)

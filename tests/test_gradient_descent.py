@@ -21,27 +21,30 @@ def small_problem(seed, m=8, d=3, hidden=(4,), q=2):
     return x, y, spec
 
 
-def some_gradient_is_nonzero(net, x, y) -> bool:
-    """A gradient check tests something only where backprop is not zero."""
-    _, grads = sse_and_gradients(net, x, y)
-    return any(np.any(g != 0.0) for g in grads)
-
-
 class TestCheckGradient:
     def test_random_small_networks(self):
         for seed in range(5):
             x, y, spec = small_problem(seed)
-            net = initial_network(GdConfig(spec=spec))
-            assert some_gradient_is_nonzero(net, x, y)
-            assert check_gradient(net, x, y) <= 1e-4
+            check = check_gradient(initial_network(GdConfig(spec=spec)), x, y)
+            assert check.nonzero > 0
+            assert check.max_relative_error <= 1e-4
 
     def test_single_sample(self):
         x = np.full((1, 3), 0.5)
         y = np.array([[0.3, 0.7]])
         spec = NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=0)
+        check = check_gradient(initial_network(GdConfig(spec=spec)), x, y)
+        assert check.nonzero > 0
+        assert check.max_relative_error <= 1e-4
+
+    def test_counts_a_check_that_compared_only_zeros(self):
+        """Every output pre-activation deep in the clamp: backprop and the
+        finite differences are all exactly zero, and the counts say so."""
+        x, y, spec = small_problem(0)
         net = initial_network(GdConfig(spec=spec))
-        assert some_gradient_is_nonzero(net, x, y)
-        assert check_gradient(net, x, y) <= 1e-4
+        net.weights[-1][0, :] = 1e3
+        check = check_gradient(net, x, y)
+        assert check == (0.0, 0, sum(w.size for w in net.weights))
 
     def test_stationary_at_exact_fit(self):
         """At a zero-residual network the gradient vanishes."""

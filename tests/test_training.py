@@ -3,6 +3,8 @@ trainer, and the representation-mode (random hidden layer) variant."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karnet import (
     LOGIT_SIGMOID,
@@ -19,7 +21,7 @@ from karnet import (
 )
 from karnet.errors import RankDeficiencyError
 from karnet.linalg import lstsq, pinv, require_rank
-from karnet.training import GUARD_KAPPA, GUARD_TRIES, _guarded_uniform
+from karnet.training import _orthonormal_layer
 
 PAIR = LOGIT_SIGMOID
 
@@ -94,7 +96,7 @@ class TestTwoLayer:
 
         ds = make_xor(perturbed=True)
         cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,), seed=3))
-        w2 = _guarded_uniform(np.random.default_rng(3), (3, 1), GUARD_KAPPA, GUARD_TRIES)
+        w2 = _orthonormal_layer(np.random.default_rng(3), (3, 1))
         b2 = apply_phi(PAIR, ds.y)
         b1 = apply_phi(PAIR, (b2 - w2[0, :]) @ pinv(w2[1:, :]).pinv)
         x1 = add_bias_column(ds.x)
@@ -321,74 +323,25 @@ class TestErrors:
             train_n_layer(x, y, KarConfig(spec=NetworkSpec(2, (2,), 1)))
 
 
-def _svd_every_draw(rng, shape, kappa, tries):
-    """The condition guard with no width rule: one SVD per draw."""
-    w = rng.uniform(0.0, 1.0, size=shape)
-    for _ in range(max(0, tries)):
+# (fan-in p, width q): tall, wide, square, 1-wide and 1-tall node blocks
+_BLOCKS = st.one_of(
+    st.tuples(st.integers(2, 60), st.integers(1, 20)).map(lambda t: (t[0] + t[1], t[1])),
+    st.tuples(st.integers(1, 20), st.integers(2, 60)).map(lambda t: (t[0], t[0] + t[1])),
+    st.integers(1, 40).map(lambda n: (n, n)),
+    st.integers(1, 60).map(lambda p: (p, 1)),
+    st.integers(1, 60).map(lambda q: (1, q)),
+)
+
+
+class TestOrthonormalLayer:
+    @settings(max_examples=200, deadline=None)
+    @given(_BLOCKS, st.integers(0, 2**32 - 1))
+    def test_unit_singular_values_seeded_and_bias_in_unit_interval(self, block, seed):
+        p, q = block
+        w = _orthonormal_layer(np.random.default_rng(seed), (p + 1, q))
+        assert w.shape == (p + 1, q)
         s = np.linalg.svd(w[1:, :], compute_uv=False)
-        if s[-1] > 0.0 and s[0] / s[-1] <= kappa:
-            break
-        w = rng.uniform(0.0, 1.0, size=shape)
-    return w
-
-
-class TestConditionGuard:
-    # ids keep the numbers these shapes had when the list began with the
-    # wide shapes that test_too_wide_block_keeps_its_first_draw now covers
-    @pytest.mark.parametrize(
-        "shape",
-        [(100, 3), (3, 3), (2, 3), (3, 400), (2000, 33)],
-        ids=["shape2", "shape3", "shape4", "shape5", "shape7"],
-    )
-    def test_same_draws_and_result_as_svd_every_draw(self, shape):
-        for seed in range(10):
-            rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            ref = _svd_every_draw(rng_ref, shape, GUARD_KAPPA, GUARD_TRIES)
-            got = _guarded_uniform(rng, shape, GUARD_KAPPA, GUARD_TRIES)
-            assert np.array_equal(got, ref)
-            assert rng.uniform() == rng_ref.uniform()
-
-    @pytest.mark.parametrize("shape", [(400, 200), (200, 100), (35, 34), (2000, 34)])
-    def test_too_wide_block_keeps_its_first_draw(self, shape):
-        """With 3q >= kappa^2 none of the draws an SVD per draw would make
-        passes, so the guard keeps the first and draws nothing more."""
-        for seed in range(10):
-            gen = np.random.default_rng(seed)
-            draws = [gen.uniform(0.0, 1.0, size=shape) for _ in range(GUARD_TRIES + 1)]
-            for w in draws:
-                s = np.linalg.svd(w[1:, :], compute_uv=False)
-                assert s[0] / s[-1] > GUARD_KAPPA
-            rng, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _guarded_uniform(rng, shape, GUARD_KAPPA, GUARD_TRIES)
-            assert np.array_equal(got, draws[0])
-            fresh.uniform(0.0, 1.0, size=shape)
-            assert rng.uniform() == fresh.uniform()
-
-    def test_exp4_iris_fit_makes_few_guard_svds(self, monkeypatch):
-        """Every 400 x 200 and 200 x 100 random block is too wide for any
-        draw to pass and is drawn once, so only the 100 x 3 output block
-        reaches an SVD."""
-        import karnet.training as training
-        from karnet import load_iris, scale_minmax
-
-        calls = []
-
-        class _Linalg:
-            def __getattr__(self, name):
-                return getattr(np.linalg, name)
-
-            def svd(self, *args, **kwargs):
-                calls.append(np.shape(args[0]))
-                return np.linalg.svd(*args, **kwargs)
-
-        class _Numpy:
-            linalg = _Linalg()
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-        ds = scale_minmax(load_iris(), 0.01)
-        monkeypatch.setattr(training, "np", _Numpy())
-        train_n_layer(ds.x, ds.y, KarConfig(spec=spec_for(ds.x, ds.y, (400, 200, 100))))
-        assert 1 <= len(calls) <= 3
-        assert set(calls) == {(100, 3)}
+        assert s.shape == (min(p, q),)
+        np.testing.assert_allclose(s, 1.0, rtol=0.0, atol=1e-12)
+        assert np.all((w[0, :] >= 0.0) & (w[0, :] < 1.0))
+        assert np.array_equal(w, _orthonormal_layer(np.random.default_rng(seed), (p + 1, q)))
