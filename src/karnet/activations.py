@@ -15,6 +15,11 @@ from typing import Callable
 
 import numpy as np
 
+try:  # the clip ufunc without np.clip's wrappers, which cost more than a small clamp
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 __all__ = ["ActivationPair", "apply_f", "apply_phi", "LOGIT_SIGMOID"]
 
 DEFAULT_CLAMP_EPS = 1e-7
@@ -25,21 +30,22 @@ class ActivationPair:
     """Forward function, its inverse, and the open domain of the forward.
 
     ``forward_deriv`` is the derivative of the forward function, evaluated
-    on already-clamped values; iterative trainers need it.  ``forward`` and
-    ``inverse`` return a new array and never write to their argument, so
-    ``apply_phi`` may clamp the inverse's result in place.
+    on already-clamped values and written into ``out`` when one is given;
+    iterative trainers need it.  ``forward`` and ``inverse`` return a new
+    array and never write to their argument, so ``apply_phi`` may clamp the
+    inverse's result in place.
     """
 
     name: str
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
-    forward_deriv: Callable[[np.ndarray], np.ndarray]
+    forward_deriv: Callable[..., np.ndarray]
     lo: float
     hi: float
     clamp_eps: float = DEFAULT_CLAMP_EPS
 
     def clamp(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.clip(m, self.lo + self.clamp_eps, self.hi - self.clamp_eps, out=out)
+        return _clip(m, self.lo + self.clamp_eps, self.hi - self.clamp_eps, out=out)
 
 
 def apply_f(pair: ActivationPair, m) -> np.ndarray:
@@ -70,8 +76,10 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _logit_deriv(a: np.ndarray) -> np.ndarray:
-    return 1.0 / (a * (1.0 - a))
+def _logit_deriv(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    r = np.subtract(1.0, a, out=np.empty_like(a) if out is None else out)
+    np.multiply(a, r, out=r)
+    return np.divide(1.0, r, out=r)
 
 
 LOGIT_SIGMOID = ActivationPair(

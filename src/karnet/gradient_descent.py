@@ -10,6 +10,7 @@ optional global gradient-norm clip.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,7 +19,6 @@ import numpy as np
 
 from .activations import LOGIT_SIGMOID, apply_phi
 from .errors import ConfigError, NumericalError, check_finite
-from .linalg import as_matrix
 from .network import Network, NetworkSpec, forward
 from .training import TrainReport, _check_spec, _finish_report
 
@@ -75,44 +75,59 @@ def initial_network(cfg: GdConfig) -> Network:
     return Network(spec=cfg.spec, weights=weights)
 
 
-def sse_and_gradients(net: Network, x, y):
-    """Output-space SSE and its gradient with respect to every weight."""
-    xm = as_matrix(x, "x")
-    ym = as_matrix(y, "y")
+def _sse_and_gradients(net: Network, xm: np.ndarray, ym: np.ndarray, cache: list, scratch: list):
+    """SSE and gradients at ``net`` on checked ``xm`` and ``ym``: one forward
+    pass that refills ``cache``, one backprop through ``scratch``, whose
+    buffers it allocates when given an empty list.  The gradients are new."""
     pair = LOGIT_SIGMOID
     lo, hi = pair.lo + pair.clamp_eps, pair.hi - pair.clamp_eps
-    cache: list = []
-    resid = forward(net, xm, cache) - ym
-    loss = float(np.sum(resid * resid))
+    resid = forward(net, xm, cache)
+    resid -= ym
+    if not scratch:
+        # per layer: f'(c) * delta * mask and its two masks; the delta passed down
+        scratch += [(np.empty(c.shape), np.empty(c.shape, bool), np.empty(c.shape, bool), np.empty(a.shape))
+                    for a, c in zip(cache[::2], cache[1::2])]
+    loss = float(np.add.reduce(np.multiply(resid, resid, out=scratch[-1][0]), axis=None))
     # f'(c) at each layer's clamped pre-activation c, zeroed where the clamp
     # was active; testing c against the band equals testing the unclamped value
-    delta = 2.0 * resid
+    delta = np.multiply(2.0, resid, out=resid)
     grads = [None] * len(net.weights)
     for k in range(len(net.weights) - 1, -1, -1):
         a, c = cache[2 * k], cache[2 * k + 1]
-        delta = delta * pair.forward_deriv(c) * ((c > lo) & (c < hi))
-        grads[k] = a.T @ delta
+        d, above, below, down = scratch[k]
+        np.multiply(delta, pair.forward_deriv(c, out=d), out=d)
+        mask = np.bitwise_and(np.greater(c, lo, out=above), np.less(c, hi, out=below), out=above)
+        np.multiply(d, mask, out=d)
+        grads[k] = a.T @ d
         if k > 0:
-            delta = (delta @ net.weights[k].T)[:, 1:]
+            delta = np.matmul(d, net.weights[k].T, out=down)[:, 1:]
     return loss, grads
 
 
+def sse_and_gradients(net: Network, x, y):
+    """Output-space SSE and its gradient with respect to every weight; ``x``
+    and ``y`` must fit ``net.spec`` as for ``train_gd``."""
+    xm, ym = _check_spec(net.spec, x, y)
+    return _sse_and_gradients(net, xm, ym, [], [])
+
+
 def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
-    """Full-batch descent on output-space SSE for ``max_iters`` steps."""
+    """Full-batch descent on output-space SSE for ``max_iters`` steps; the
+    forward cache and backprop buffers are allocated once per fit."""
     t0 = time.perf_counter()
     xm, ym = _check_spec(cfg.spec, x, y)
     net = initial_network(cfg)
+    cache, scratch = [], []
     for it in range(cfg.max_iters):
-        loss, grads = sse_and_gradients(net, xm, ym)
-        if not np.isfinite(loss):
+        loss, grads = _sse_and_gradients(net, xm, ym, cache, scratch)
+        if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at iteration {it}")
         if cfg.gradient_clip is not None:
-            gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            gnorm = np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
             if gnorm > cfg.gradient_clip:
                 grads = [g * (cfg.gradient_clip / gnorm) for g in grads]
         for w, g in zip(net.weights, grads):
-            w -= cfg.learning_rate * g
-    cache: list = []
+            w -= np.multiply(cfg.learning_rate, g, out=g)
     forward(net, xm, cache)
     return net, _finish_report(
         net, cache[-2], apply_phi(LOGIT_SIGMOID, ym), ym, t0, trainer="gd",
@@ -137,8 +152,7 @@ def check_gradient(net: Network, x, y, step: float = 1e-5) -> GradientCheck:
     total = sum(w.size for w in net.weights)
     if total > 200:
         raise ConfigError(f"gradient check limited to 200 weights, got {total}")
-    xm = as_matrix(x, "x")
-    ym = as_matrix(y, "y")
+    xm, ym = _check_spec(net.spec, x, y)
     _, grads = sse_and_gradients(net, xm, ym)
     worst = 0.0
     for w, g in zip(net.weights, grads):

@@ -111,24 +111,32 @@ def add_bias_column(x: np.ndarray) -> np.ndarray:
 def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
     """Forward pass: activation applied after every layer's matrix product.
 
-    Given a ``cache`` list, each layer appends its input ``[1, G_{k-1}]``
+    Given a ``cache`` list, each layer stores its input ``[1, G_{k-1}]``
     and its pre-activation clamped into the activation domain, in that
-    order; backpropagation reads them from there.
+    order; backpropagation reads them from there.  A cache already holding
+    arrays of those shapes (filled earlier for this net's layer sizes and
+    row count) is refilled in place, any other emptied first.  The output
+    is always a new array.
     """
     xm = np.asarray(x, dtype=np.float64)
     if xm.ndim != 2 or xm.shape[1] != net.spec.input_dim:
         raise DimensionError(
             f"input must be (m, {net.spec.input_dim}), got {xm.shape}"
         )
-    a = add_bias_column(xm)
-    g = None
-    for w in net.weights:
-        z = a @ w
+    shapes = [(xm.shape[0], n) for w in net.weights for n in w.shape]
+    if cache is not None and [b.shape for b in cache] != shapes:
+        cache.clear()
+    refill = bool(cache)
+    g = xm
+    for k, w in enumerate(net.weights):
+        a = cache[2 * k] if refill else np.empty(shapes[2 * k])
+        a[:, 0] = 1.0
+        a[:, 1:] = g
+        z = np.matmul(a, w, out=cache[2 * k + 1] if refill else None)
         LOGIT_SIGMOID.clamp(z, out=z)
-        if cache is not None:
+        if cache is not None and not refill:
             cache += (a, z)
         g = LOGIT_SIGMOID.forward(z)
-        a = add_bias_column(g)
     return g
 
 

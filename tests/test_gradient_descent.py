@@ -1,16 +1,24 @@
 """Gradient-descent baseline tests: gradient correctness and descent."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import karnet.gradient_descent
 from karnet import (
+    LOGIT_SIGMOID,
+    DimensionError,
     GdConfig,
+    Network,
     NetworkSpec,
+    apply_phi,
     check_gradient,
     forward,
     train_gd,
 )
-from karnet.gradient_descent import initial_network, sse_and_gradients
+from karnet.gradient_descent import _sse_and_gradients, initial_network, sse_and_gradients
+from karnet.training import _finish_report
 
 
 def small_problem(seed, m=8, d=3, hidden=(4,), q=2):
@@ -147,3 +155,101 @@ class TestTrainGd:
                        gradient_clip=1.0)
         _, rep = train_gd(x, y, cfg)
         assert np.isfinite(rep.train_sse)
+
+
+def reference_descent(x, y, cfg, init):
+    """Plain full-batch descent from ``init``: a fresh forward cache and new
+    arrays on every step, each operation in the order ``train_gd`` applies
+    it."""
+    pair = LOGIT_SIGMOID
+    lo, hi = pair.lo + pair.clamp_eps, pair.hi - pair.clamp_eps
+    net = Network(spec=init.spec, weights=[w.copy() for w in init.weights])
+    for _ in range(cfg.max_iters):
+        cache, a = [], np.hstack([np.ones((x.shape[0], 1)), x])
+        for w in net.weights:
+            z = np.clip(a @ w, lo, hi)
+            cache += (a, z)
+            g = np.log(z / (1.0 - z))
+            a = np.hstack([np.ones((x.shape[0], 1)), g])
+        resid = g - y
+        assert np.isfinite(float(np.sum(resid * resid)))
+        delta = 2.0 * resid
+        grads = [None] * len(net.weights)
+        for k in range(len(net.weights) - 1, -1, -1):
+            a, c = cache[2 * k], cache[2 * k + 1]
+            delta = delta * (1.0 / (c * (1.0 - c))) * ((c > lo) & (c < hi))
+            grads[k] = a.T @ delta
+            if k > 0:
+                delta = (delta @ net.weights[k].T)[:, 1:]
+        if cfg.gradient_clip is not None:
+            gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            if gnorm > cfg.gradient_clip:
+                grads = [g * (cfg.gradient_clip / gnorm) for g in grads]
+        for w, g in zip(net.weights, grads):
+            w -= cfg.learning_rate * g
+    return net
+
+
+def clamped_start(columns):
+    """The descent start with the output pre-activations of ``columns`` deep
+    in the clamp on every row."""
+    def start(cfg):
+        net = initial_network(cfg)
+        net.weights[-1][0, columns] = 1e3
+        return net
+    return start
+
+
+class TestBufferedDescent:
+    """``train_gd`` reuses its forward cache and backprop buffers across
+    steps; weights and reports stay those of a descent that reuses none."""
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    @pytest.mark.parametrize("clamped", [None, [0], slice(None)])
+    def test_bit_identical_to_a_plain_descent(self, monkeypatch, hidden, clip, clamped):
+        x, y, spec = small_problem(11, m=12, hidden=hidden, q=3)
+        cfg = GdConfig(spec=spec, learning_rate=0.05, max_iters=40, gradient_clip=clip)
+        start = initial_network if clamped is None else clamped_start(clamped)
+        monkeypatch.setattr(karnet.gradient_descent, "initial_network", start)
+        net, rep = train_gd(x, y, cfg)
+        want = reference_descent(x, y, cfg, start(cfg))
+        for w, w_want in zip(net.weights, want.weights, strict=True):
+            assert np.array_equal(w, w_want)
+        cache = []
+        forward(want, x, cache)
+        rep_want = _finish_report(
+            want, cache[-2], apply_phi(LOGIT_SIGMOID, y), y, 0.0,
+            trainer="gd", iterations=cfg.max_iters, init_style=rep.init_style,
+        )
+        got, expected = dataclasses.asdict(rep), dataclasses.asdict(rep_want)
+        del got["wall_time"], expected["wall_time"]
+        assert got == expected
+        if clamped is not None:
+            assert np.all(cache[-1][:, clamped] == LOGIT_SIGMOID.hi - LOGIT_SIGMOID.clamp_eps)
+
+    def test_a_step_leaves_the_last_steps_results_alone(self):
+        x, y, spec = small_problem(12, m=9, hidden=(5, 3))
+        net = initial_network(GdConfig(spec=spec))
+        cache, scratch = [], []
+        loss, grads = _sse_and_gradients(net, x, y, cache, scratch)
+        kept = [g.copy() for g in grads]
+        for w, g in zip(net.weights, grads):
+            w -= 0.5 * g
+        loss2, grads2 = _sse_and_gradients(net, x, y, cache, scratch)
+        assert loss2 != loss
+        for g, k, g2 in zip(grads, kept, grads2, strict=True):
+            np.testing.assert_array_equal(g, k)
+            assert g2 is not g and not np.array_equal(g2, g)
+        fresh_loss, fresh_grads = sse_and_gradients(net, x, y)
+        assert fresh_loss == loss2
+        for g2, f in zip(grads2, fresh_grads):
+            np.testing.assert_array_equal(g2, f)
+
+    @pytest.mark.parametrize("shape", [(8, 1), (1, 2), (8, 3), (7, 2)])
+    def test_targets_that_do_not_fit_are_rejected(self, shape):
+        """A target of another width or row count is never broadcast
+        against the output."""
+        x, _, spec = small_problem(13)
+        with pytest.raises(DimensionError):
+            sse_and_gradients(initial_network(GdConfig(spec=spec)), x, np.full(shape, 0.5))
