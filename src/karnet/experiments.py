@@ -76,8 +76,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown architecture pattern {self.pattern!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        if max(self.trials, self.folds, self.max_iters) >= 2**64:
+            raise ConfigError("trials, folds and max_iters must be below 2**64")
         if any(h < 1 for h in self.grid):
             raise ConfigError(f"grid values must be >= 1, got {self.grid}")
         check_finite("gradient_clip", self.gradient_clip, positive=True)

@@ -18,9 +18,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .activations import LOGIT_SIGMOID
-from .errors import ConfigError, DataError, DimensionError, KarnetError
+from .errors import ConfigError, DataError, DimensionError, KarnetError, NumericalError
 
 __all__ = [
     "NetworkSpec",
@@ -36,8 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture description: layer sizes and init seed.  Every layer
-    applies ``LOGIT_SIGMOID``, whose name the dict form records."""
+    """Architecture description: layer sizes and an init seed in [0, 2**64),
+    the integers a weights file can hold.  Every layer applies
+    ``LOGIT_SIGMOID``, whose name the dict form records."""
 
     input_dim: int
     hidden: tuple[int, ...]
@@ -49,6 +51,8 @@ class NetworkSpec:
         sizes = (self.input_dim, *self.hidden, self.output_dim)
         if any(s < 1 for s in sizes):
             raise ConfigError(f"all layer sizes must be >= 1, got {sizes}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def n_layers(self) -> int:
@@ -141,7 +145,11 @@ def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
 
 
 def network_to_json(net: Network) -> str:
-    """Serialize to JSON, round-trippable bit-exactly at double precision."""
+    """Serialize to compact strict JSON with sorted keys, each weight in the
+    shortest digits that read back to the same double.  A NaN or infinite
+    weight is a NumericalError."""
+    if not all(np.isfinite(w).all() for w in net.weights):
+        raise NumericalError("weights hold a non-finite value; no weights file is written")
     payload = {
         "spec": net.spec.to_dict(),
         "weights": [
@@ -149,7 +157,7 @@ def network_to_json(net: Network) -> str:
             for w in net.weights
         ],
     }
-    return json.dumps(payload, sort_keys=True)
+    return orjson.dumps(payload, option=orjson.OPT_SORT_KEYS).decode("utf-8")
 
 
 def network_from_json(s: str) -> Network:
@@ -163,8 +171,9 @@ def network_from_json(s: str) -> Network:
 
 
 def save_network(net: Network, path) -> None:
+    text = network_to_json(net)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(network_to_json(net))
+        fh.write(text)
 
 
 def load_network(path) -> Network:

@@ -63,6 +63,20 @@ class TestSubcommands:
                        "--out", str(tmp_path)) == EXIT_OK
         assert json.loads((tmp_path / "eval_report.json").read_text())["accuracy"] == 1.0
 
+    def test_eval_reports_the_same_bytes_for_old_and_new_weights_files(self, tmp_path):
+        """A weights file in the stdlib ``json.dumps(payload, sort_keys=True)``
+        spelling evaluates to the same report bytes as the current one."""
+        run = tmp_path / "run"
+        assert run_cli("train", "--data", "iris", "--layers", "20", "--out", str(run)) == EXIT_OK
+        new, old = run / "weights.json", run / "weights_old.json"
+        old.write_text(json.dumps(json.loads(new.read_text()), sort_keys=True))
+        assert old.read_bytes() != new.read_bytes()
+        for weights in (new, old):
+            assert run_cli("eval", "--data", "iris", "--weights", str(weights),
+                           "--out", str(tmp_path / weights.stem)) == EXIT_OK
+        assert ((tmp_path / "weights" / "eval_report.json").read_bytes()
+                == (tmp_path / "weights_old" / "eval_report.json").read_bytes())
+
     def test_cv(self, tmp_path):
         assert run_cli(
             "cv", "--data", "iris", "--layers", "5", "--trials", "1",
@@ -394,10 +408,16 @@ class TestFailureContract:
         assert "Traceback" not in err and "non-finite" in err
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("command", ["train", "cv", "xor-demo", "iris-sweep", "gradient-check"])
-    def test_negative_seed_is_config_error(self, tmp_path, command):
+    @pytest.mark.parametrize("command, seed", [
+        pytest.param(command, seed, id=command if seed == "-1" else f"{command}-2**64")
+        for seed in ("-1", "18446744073709551616")
+        for command in ("train", "cv", "xor-demo", "iris-sweep", "gradient-check")
+    ])
+    def test_negative_seed_is_config_error(self, tmp_path, command, seed):
+        """Seeds outside [0, 2**64) exit 2: numpy takes none below 0, and a
+        weights file cannot record one of 2**64 or more."""
         code, err = run_cli_process(
-            command, "--seed", "-1", "--layers", "3", "--out", str(tmp_path),
+            command, "--seed", seed, "--layers", "3", "--out", str(tmp_path),
         )
         assert code == EXIT_CONFIG
         assert "Traceback" not in err and "seed" in err
@@ -434,7 +454,7 @@ class TestFailureContract:
 # and trials at most 2, so each example runs in milliseconds.
 _LISTS = ["", "1", "2,3", "3,3,3", "0", "-1", "1,-2", "a,b", "1,,2", ","]
 _FUZZ_VALUES = {
-    int: ["-1", "0", "1", "2", "nan", "inf"],
+    int: ["-1", "0", "1", "2", "18446744073709551616", "nan", "inf"],
     float: ["-1", "0", "0.5", "1e-3", "nan", "inf", "-inf"],
     _parse_int_list: _LISTS,
     _parse_grid: _LISTS,

@@ -1,21 +1,31 @@
 """Network model tests: shapes, forward pass, JSON."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karnet import (
     LOGIT_SIGMOID,
     ConfigError,
+    DataError,
     DimensionError,
     GdConfig,
     Network,
     NetworkSpec,
+    NumericalError,
     apply_f,
     apply_phi,
     forward,
+    load_network,
     network_from_json,
     network_to_json,
     pinv,
+    save_network,
 )
 from karnet.gradient_descent import initial_network
 from karnet.network import add_bias_column
@@ -43,6 +53,11 @@ class TestSpecAndShapes:
             NetworkSpec(input_dim=0, hidden=(2,), output_dim=1)
         with pytest.raises(ConfigError):
             NetworkSpec(input_dim=2, hidden=(0,), output_dim=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            NetworkSpec(input_dim=2, hidden=(), output_dim=1, seed=seed)
 
     def test_wrong_weight_shape_rejected(self):
         spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1)
@@ -209,3 +224,88 @@ class TestSerialization:
         net = Network(spec=spec, weights=[w])
         clone = network_from_json(network_to_json(net))
         np.testing.assert_array_equal(clone.weights[0], w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_numerical_error(self, tmp_path, bad):
+        """Weights files are strict JSON: no NaN, Infinity or null in them."""
+        net = some_network(NetworkSpec(input_dim=2, hidden=(3,), output_dim=1))
+        net.weights[-1][1, 0] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            network_to_json(net)
+        with pytest.raises(NumericalError, match="non-finite"):
+            save_network(net, tmp_path / "weights.json")
+        assert not (tmp_path / "weights.json").exists()
+
+    def test_file_read_as_plain_json_gives_the_same_arrays(self, tmp_path):
+        """A reader without karnet (json.load, then a row-major reshape of
+        each layer's number list) gets every weight back bit for bit."""
+        net = some_network(NetworkSpec(input_dim=4, hidden=(20, 10), output_dim=3, seed=5))
+        net.weights[0][0, :4] = [5e-324, -0.0, 1e-5, 1.2e-7]
+        save_network(net, tmp_path / "weights.json")
+        with open(tmp_path / "weights.json", "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        for w, layer in zip(net.weights, payload["weights"]):
+            got = np.asarray(layer["data"], dtype=np.float64).reshape(layer["rows"], layer["cols"])
+            np.testing.assert_array_equal(got.view(np.uint64), w.view(np.uint64))
+
+    def test_file_written_by_stdlib_json_loads_the_same(self, tmp_path):
+        """Files written with ``json.dumps(payload, sort_keys=True)`` still
+        load, and parse to the same payload as the current writer's."""
+        net = some_network(NetworkSpec(input_dim=4, hidden=(20,), output_dim=3, seed=9))
+        net.weights[0][0, :3] = [5e-324, -0.0, 1e16]
+        payload = {
+            "spec": net.spec.to_dict(),
+            "weights": [
+                {"rows": w.shape[0], "cols": w.shape[1], "data": w.ravel().tolist()}
+                for w in net.weights
+            ],
+        }
+        old = json.dumps(payload, sort_keys=True)
+        (tmp_path / "weights.json").write_text(old, encoding="utf-8")
+        clone = load_network(tmp_path / "weights.json")
+        assert clone.spec == net.spec
+        for w, c in zip(net.weights, clone.weights):
+            np.testing.assert_array_equal(c.view(np.uint64), w.view(np.uint64))
+        assert json.loads(network_to_json(net)) == json.loads(old)
+
+    def test_file_with_a_seed_beyond_uint64_is_data_error(self, tmp_path):
+        net = some_network(NetworkSpec(input_dim=2, hidden=(), output_dim=1))
+        payload = json.loads(network_to_json(net))
+        payload["spec"]["seed"] = 2**64
+        (tmp_path / "weights.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="seed"):
+            load_network(tmp_path / "weights.json")
+
+
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _networks(draw):
+    """A net of up to three layers, 1 to 3 wide, with arbitrary finite
+    float64 weights: signed zeros, subnormals and the largest doubles."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    spec = NetworkSpec(input_dim=sizes[0], hidden=tuple(sizes[1:-1]),
+                       output_dim=sizes[-1], seed=draw(st.integers(0, 2**64 - 1)))
+    weights = [
+        np.array(draw(st.lists(_FINITE, min_size=r * c, max_size=r * c))).reshape(r, c)
+        for r, c in spec.weight_shapes
+    ]
+    return Network(spec=spec, weights=weights)
+
+
+class TestWeightFileRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(_networks())
+    def test_save_then_load_is_bit_exact(self, net):
+        with tempfile.TemporaryDirectory() as d:
+            save_network(net, Path(d) / "weights.json")
+            clone = load_network(Path(d) / "weights.json")
+        assert clone.spec == net.spec
+        for w, c in zip(net.weights, clone.weights):
+            np.testing.assert_array_equal(c, w)
+            np.testing.assert_array_equal(np.signbit(c), np.signbit(w))
