@@ -6,11 +6,12 @@ and targets Y:
 
 * one layer: ``W1 = pinv([1, X]) @ phi(Y)``.
 * n layers: later layers are assigned random weights (a uniform(0,1) bias
-  row over a node block with orthonormal columns or rows); peeling the bias
-  row w_k and node block of each random layer off the transformed targets
-  from the outside in yields a target matrix for every layer,
+  row over a node block with orthonormal columns or rows, so every singular
+  value of the block is 1 and its pseudoinverse is its transpose); peeling
+  the bias row w_k and node block of each random layer off the transformed
+  targets from the outside in yields a target matrix for every layer,
 
-      B_n = phi(Y),   B_{k-1} = phi((B_k - 1 w_k^T) @ pinv(node_k)),
+      B_n = phi(Y),   B_{k-1} = phi((B_k - 1 w_k^T) @ node_k^T),
 
   the first layer is solved as ``W1 = pinv([1, X]) @ B_1``, and layers
   2..n are then re-solved front-to-back against their peeled targets using
@@ -36,8 +37,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .activations import LOGIT_SIGMOID, apply_f, apply_phi
-from .errors import ConfigError, DimensionError, NumericalError, check_finite
-from .linalg import as_matrix, lstsq, pinv, require_rank
+from .errors import ConfigError, DimensionError, NumericalError, RankDeficiencyError, check_finite
+from .linalg import as_matrix, lstsq, require_rank
 from .network import Network, NetworkSpec, add_bias_column
 
 __all__ = [
@@ -182,19 +183,17 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     for k in range(2, n + 1):
         weights[k - 1] = _orthonormal_layer(rng, shapes[k - 1])
 
-    # peeling chain: invert the random layers off the transformed targets,
-    # outermost first (the bias row broadcasts: 1 w_k^T bit for bit); records
-    # one target matrix per layer
+    # peeling chain, outermost first (the bias row broadcasts: 1 w_k^T bit for
+    # bit); an entry peeled through a q-wide layer is within sqrt(q) of 0, so
+    # finite.  A cutoff rcond >= 1 keeps none of a block's unit singular values
     peeled: list[np.ndarray | None] = [None] * (n + 1)
     peeled[n] = apply_phi(LOGIT_SIGMOID, ym)
-    for k in range(n, 1, -1):
-        wk = weights[k - 1]
-        node_inv = require_rank(
-            pinv(wk[1:, :], rcond=cfg.rcond), f"random node block of layer {k}"
-        ).pinv
-        raw = (peeled[k] - wk[0, :]) @ node_inv
-        peeled[k - 1] = apply_phi(LOGIT_SIGMOID, _finite_or_raise(raw, k, "peeled target"))
-        del raw
+    for k, wk in zip(range(n, 1, -1), reversed(weights[1:])):
+        if cfg.rcond is not None and cfg.rcond >= 1.0:
+            raise RankDeficiencyError(
+                f"random node block of layer {k} is numerically rank-deficient (rank 0)"
+            )
+        peeled[k - 1] = apply_phi(LOGIT_SIGMOID, (peeled[k] - wk[0, :]) @ wk[1:, :].T)
 
     # first layer from the fully peeled target, then layers 2..n in order,
     # each against its peeled target with the layers behind it still random;

@@ -434,6 +434,16 @@ class TestFailureContract:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_rcond_one_drops_the_random_node_block(self, tmp_path):
+        """Every singular value of a random node block is 1, so ``--rcond 1``
+        keeps none of them: the peel fails with exit 4 and writes no report."""
+        code, err = run_cli_process(
+            "train", "--data", "iris", "--layers", "3", "--rcond", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_NUMERIC
+        assert "Traceback" not in err and "random node block of layer 2" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_label_only_csv_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"
         data.write_text("a\nb\na\n")

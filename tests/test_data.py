@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from karnet import (
     ConfigError,
@@ -109,6 +112,31 @@ class TestScaling:
         ds = Dataset(x=np.ones((2, 1)), y=np.ones((2, 1)))
         with pytest.raises(ConfigError):
             scale_minmax(ds, 0.7)
+
+
+# feature matrices up to 12 x 4 of finite values whose column ranges stay finite
+_FEATURES = st.tuples(st.integers(1, 12), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1e300, 1e300))
+)
+_EPSILONS = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+
+
+class TestScalingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_FEATURES, _EPSILONS)
+    def test_scale_minmax_is_idempotent(self, x, eps):
+        """Scaled features already span [eps, 1 - eps], so scaling them again
+        moves no value by more than a few ulps."""
+        once = scale_minmax(Dataset(x=x, y=np.zeros((x.shape[0], 1))), eps)
+        twice = scale_minmax(once, eps)
+        np.testing.assert_array_max_ulp(twice.x, once.x, maxulp=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_FEATURES, _EPSILONS)
+    def test_apply_scaling_reproduces_the_fit_bitwise(self, x, eps):
+        ds = Dataset(x=x, y=np.zeros((x.shape[0], 1)))
+        fitted = scale_minmax(ds, eps)
+        np.testing.assert_array_equal(apply_scaling(ds, fitted.scaling, eps).x, fitted.x)
 
 
 class TestOneVsAll:

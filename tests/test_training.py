@@ -89,8 +89,9 @@ class TestTwoLayer:
 
     def test_matches_n_layer_bitwise(self):
         """The two-layer decoupled pass written out: peel the random output
-        layer off phi(Y), solve the hidden layer, re-solve the output layer;
-        each data-side solve is the library's one least-squares routine."""
+        layer off phi(Y) through its node block's transpose, solve the hidden
+        layer, re-solve the output layer; each data-side solve is the
+        library's one least-squares routine."""
         from karnet import apply_f
         from karnet.network import add_bias_column
 
@@ -98,7 +99,7 @@ class TestTwoLayer:
         cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,), seed=3))
         w2 = _orthonormal_layer(np.random.default_rng(3), (3, 1))
         b2 = apply_phi(PAIR, ds.y)
-        b1 = apply_phi(PAIR, (b2 - w2[0, :]) @ pinv(w2[1:, :]).pinv)
+        b1 = apply_phi(PAIR, (b2 - w2[0, :]) @ w2[1:, :].T)
         x1 = add_bias_column(ds.x)
         w1 = lstsq(x1, b1).theta
         w2 = lstsq(add_bias_column(apply_f(PAIR, x1 @ w1)), b2).theta
@@ -109,25 +110,31 @@ class TestTwoLayer:
 
 class TestNLayer:
     def test_output_solve_forms_no_pseudoinverse(self, monkeypatch):
-        """Iris at h = 20 (q = 3): the peel inverts the 20x3 node block and
-        the 150x5 input solve has 20 >= 5 right-hand sides, so both form a
-        pseudoinverse; the 150x21 output solve has 3 < 21 and forms none."""
+        """Iris at h = 20 (q = 3): the peel multiplies by the 20x3 node
+        block's transpose and forms no pseudoinverse; the 150x5 input solve
+        has 20 >= 5 right-hand sides and forms one; the 150x21 output solve
+        has 3 < 21 and forms none.  The pseudoinverse's SVD is counted too,
+        since a module may hold its own reference to ``pinv``."""
         import karnet.linalg
-        import karnet.training
         from karnet import load_iris, scale_minmax
 
-        shapes = []
-        original = karnet.linalg.pinv
+        shapes, svd_shapes = [], []
+        original, original_svd = karnet.linalg.pinv, np.linalg.svd
 
         def counting_pinv(a, rcond=None):
             shapes.append(np.shape(a))
             return original(a, rcond=rcond)
 
+        def counting_svd(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return original_svd(a, *args, **kwargs)
+
         monkeypatch.setattr(karnet.linalg, "pinv", counting_pinv)
-        monkeypatch.setattr(karnet.training, "pinv", counting_pinv)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         ds = scale_minmax(load_iris(), 0.01)
         net, _ = train_n_layer(ds.x, ds.y, KarConfig(spec=spec_for(ds.x, ds.y, (20,), seed=0)))
-        assert shapes == [(20, 3), (150, 5)]
+        assert shapes == [(150, 5)]
+        assert svd_shapes == [(150, 5)]
         assert net.weights[1].shape == (21, 3)
 
     def test_five_layer_xor(self):
@@ -314,6 +321,20 @@ class TestErrors:
     def test_zero_rcond_is_accepted(self):
         KarConfig(spec=NetworkSpec(2, (2,), 1), rcond=0.0)
 
+    def test_rcond_one_keeps_no_unit_singular_value_of_a_node_block(self):
+        ds = make_xor(perturbed=True)
+        cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,)), rcond=1.0)
+        with pytest.raises(RankDeficiencyError, match="random node block of layer 2"):
+            train_n_layer(ds.x, ds.y, cfg)
+
+    @pytest.mark.parametrize("rcond", [0.0, 0.5])
+    def test_rcond_below_one_trains_through_the_peel(self, rcond):
+        ds = make_xor(perturbed=True)
+        cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,)), rcond=rcond)
+        net, rep = train_n_layer(ds.x, ds.y, cfg)
+        assert rep.peel_chains == 1
+        assert np.all(np.isfinite(forward(net, ds.x)))
+
     def test_dimension_mismatch(self):
         from karnet import DimensionError
 
@@ -345,3 +366,33 @@ class TestOrthonormalLayer:
         np.testing.assert_allclose(s, 1.0, rtol=0.0, atol=1e-12)
         assert np.all((w[0, :] >= 0.0) & (w[0, :] < 1.0))
         assert np.array_equal(w, _orthonormal_layer(np.random.default_rng(seed), (p + 1, q)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_BLOCKS, st.integers(0, 2**32 - 1))
+    def test_transpose_is_the_svd_pseudoinverse(self, block, seed):
+        """The peel's B^T matches the SVD reference, which keeps every
+        singular value of the block."""
+        p, q = block
+        node = _orthonormal_layer(np.random.default_rng(seed), (p + 1, q))[1:, :]
+        ref = pinv(node)
+        assert ref.rank == min(p, q)
+        np.testing.assert_allclose(ref.pinv, node.T, rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_BLOCKS, st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_peel_round_trip(self, block, seed, m):
+        """Peeling a layer and putting it back, ``((T - b) B^T) B + b``,
+        returns T when B has orthonormal columns (p >= q), and otherwise
+        the orthogonal projection of T - b onto B's row space, plus b."""
+        p, q = block
+        rng = np.random.default_rng(seed)
+        w = _orthonormal_layer(rng, (p + 1, q))
+        bias, node = w[0, :], w[1:, :]
+        t = rng.uniform(0.0, 1.0, size=(m, q))
+        back = ((t - bias) @ node.T) @ node + bias
+        if p >= q:
+            np.testing.assert_allclose(back, t, rtol=0.0, atol=1e-12)
+        else:
+            proj = pinv(node).pinv @ node  # the SVD projector onto B's row space
+            np.testing.assert_allclose(back, (t - bias) @ proj + bias, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose((back - bias) @ proj, back - bias, rtol=0.0, atol=1e-12)
