@@ -9,7 +9,7 @@ identical network model serves as the comparison baseline, and an
 experiment harness reproduces the exclusive-or and iris case studies.
 """
 
-from .activations import LOGIT_SIGMOID, ActivationPair, apply_f, apply_phi
+from .activations import ACTIVATION, CLAMP_EPS, apply_logit, apply_sigmoid
 from .data import (
     Dataset,
     FoldPlan,
@@ -47,10 +47,10 @@ from .training import KarConfig, TrainReport, error_rate, train_n_layer, train_r
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationPair",
-    "apply_f",
-    "apply_phi",
-    "LOGIT_SIGMOID",
+    "ACTIVATION",
+    "CLAMP_EPS",
+    "apply_logit",
+    "apply_sigmoid",
     "Dataset",
     "FoldPlan",
     "apply_scaling",

@@ -1,17 +1,13 @@
-"""Invertible activation pairs applied elementwise with domain clamping.
+"""The network's one activation, f = logit on (0, 1), and its inverse
+phi = sigmoid, applied elementwise with domain clamping.
 
-A pair couples a forward function f with its inverse phi.  Networks use
-one pair, ``LOGIT_SIGMOID``: f = logit on (0, 1) with phi = sigmoid.  Inputs to f are clamped
-into ``[lo + eps, hi - eps]`` so that every output stays finite even for
-targets sitting exactly on the domain boundary (e.g. indicator targets of
-0 and 1); outputs of phi are clamped into the same band so that a
-subsequent f never sees a boundary value.
+Inputs to logit are clamped into the band ``[LO, HI]`` so that every output
+stays finite even for targets sitting exactly on the domain boundary (e.g.
+indicator targets of 0 and 1); sigmoid outputs are clamped into the same
+band so that a subsequent logit never sees a boundary value.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,73 +16,46 @@ try:  # the clip ufunc without np.clip's wrappers, which cost more than a small 
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
-__all__ = ["ActivationPair", "apply_f", "apply_phi", "LOGIT_SIGMOID"]
+__all__ = ["ACTIVATION", "CLAMP_EPS", "LO", "HI", "clamp", "logit", "logit_deriv",
+           "apply_logit", "apply_sigmoid"]
 
-DEFAULT_CLAMP_EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class ActivationPair:
-    """Forward function, its inverse, and the open domain of the forward.
-
-    ``forward_deriv`` is the derivative of the forward function, evaluated
-    on already-clamped values and written into ``out`` when one is given;
-    iterative trainers need it.  ``forward`` and ``inverse`` return a new
-    array and never write to their argument, so ``apply_phi`` may clamp the
-    inverse's result in place.
-    """
-
-    name: str
-    forward: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]
-    forward_deriv: Callable[..., np.ndarray]
-    lo: float
-    hi: float
-    clamp_eps: float = DEFAULT_CLAMP_EPS
-
-    def clamp(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _clip(m, self.lo + self.clamp_eps, self.hi - self.clamp_eps, out=out)
+ACTIVATION = "logit-sigmoid"  # the name weights files record
+CLAMP_EPS = 1e-7
+LO, HI = CLAMP_EPS, 1.0 - CLAMP_EPS
 
 
-def apply_f(pair: ActivationPair, m) -> np.ndarray:
-    """Apply the forward function elementwise, clamping into the domain."""
-    a = pair.clamp(np.asarray(m, dtype=np.float64))
-    return pair.forward(a)
+def clamp(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp into the band ``[LO, HI]``, into ``out`` when one is given."""
+    return _clip(m, LO, HI, out=out)
 
 
-def apply_phi(pair: ActivationPair, m) -> np.ndarray:
-    """Apply the inverse transform elementwise; outputs stay inside the domain."""
-    a = pair.inverse(np.asarray(m, dtype=np.float64))
-    return pair.clamp(a, out=a)
-
-
-def _logit(a: np.ndarray) -> np.ndarray:
-    # log(a / (1 - a)) in one new buffer; out= keeps a 0-d input an array
+def logit(a: np.ndarray) -> np.ndarray:
+    """log(a / (1 - a)) of already-clamped values in one new buffer; out=
+    keeps a 0-d input an array."""
     r = np.subtract(1.0, a, out=np.empty_like(a))
     np.divide(a, r, out=r)
     return np.log(r, out=r)
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-z)) in the clip's buffer; the clip keeps exp from overflowing
-    z = np.clip(a, -700.0, 700.0, out=np.empty_like(a))
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    np.add(1.0, z, out=z)
-    return np.divide(1.0, z, out=z)
-
-
-def _logit_deriv(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def logit_deriv(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (a (1 - a)), logit's derivative at already-clamped values."""
     r = np.subtract(1.0, a, out=np.empty_like(a) if out is None else out)
     np.multiply(a, r, out=r)
     return np.divide(1.0, r, out=r)
 
 
-LOGIT_SIGMOID = ActivationPair(
-    name="logit-sigmoid",
-    forward=_logit,
-    inverse=_sigmoid,
-    lo=0.0,
-    hi=1.0,
-    forward_deriv=_logit_deriv,
-)
+def apply_logit(m) -> np.ndarray:
+    """Clamp into the band, then apply logit elementwise."""
+    return logit(clamp(np.asarray(m, dtype=np.float64)))
+
+
+def apply_sigmoid(m) -> np.ndarray:
+    """Apply the sigmoid elementwise, then clamp into the band."""
+    a = np.asarray(m, dtype=np.float64)
+    # 1 / (1 + exp(-z)) in the clip's buffer; the clip keeps exp from overflowing
+    z = np.clip(a, -700.0, 700.0, out=np.empty_like(a))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(1.0, z, out=z)
+    np.divide(1.0, z, out=z)
+    return clamp(z, out=z)

@@ -174,8 +174,8 @@ def _fit_scaling(x: np.ndarray) -> list[tuple[float, float]]:
 def _apply(x: np.ndarray, scaling, epsilon: float) -> np.ndarray:
     out = np.empty_like(x)
     for j, (lo, hi) in enumerate(scaling):
-        if hi > lo:
-            out[:, j] = epsilon + (x[:, j] - lo) / (hi - lo) * (1.0 - 2.0 * epsilon)
+        if hi / 2 > lo / 2:  # halves: a span past the largest double cannot overflow
+            out[:, j] = epsilon + (x[:, j] / 2 - lo / 2) / (hi / 2 - lo / 2) * (1.0 - 2.0 * epsilon)
         else:
             out[:, j] = 0.5  # constant column
     return np.clip(out, epsilon, 1.0 - epsilon)

@@ -409,7 +409,8 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
     net = load_network(weights_path)
     ds = load_dataset(cfg)
     outdir = _output_dir(cfg)
-    pre = _train_preprocessing(Path(weights_path).parent / "report.json")
+    sidecar = Path(weights_path).parent / "report.json"
+    pre = _train_preprocessing(sidecar)
     scaling = None
     eps = cfg.scale_eps
     if pre.get("scaling"):
@@ -421,7 +422,9 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
             raise DataError(
                 f"train report scales {len(scaling)} features, data has {ds.n_features}"
             )
-        eps = float(pre.get("scale_eps", eps))
+        eps = pre.get("scale_eps", eps)
+        if "scale_eps" in pre and not (type(eps) is float and 0.0 < eps < 0.5):
+            raise DataError(f"train report {sidecar}: scale_eps {eps!r} is not a number in (0, 0.5)")
     classes = pre.get("classes")
     if classes and ds.class_names is not None:
         if not isinstance(classes, list) or len(classes) != net.spec.output_dim:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activations import LOGIT_SIGMOID, apply_phi
+from .activations import HI, LO, apply_sigmoid, logit_deriv
 from .errors import ConfigError, NumericalError, check_finite
 from .network import Network, NetworkSpec, forward
 from .training import TrainReport, _check_spec, _finish_report
@@ -34,8 +34,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Gradient-descent settings; learning_rate >= 0, max_iters >= 1 and a
-    gradient_clip, when set, finite and > 0."""
+    """Gradient-descent settings; learning_rate finite and >= 0, max_iters
+    >= 1 and a gradient_clip, when set, finite and > 0."""
 
     spec: NetworkSpec
     learning_rate: float = 0.01
@@ -43,8 +43,7 @@ class GdConfig:
     gradient_clip: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ConfigError("learning_rate must be >= 0")
+        check_finite("learning_rate", self.learning_rate, positive=False)
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         check_finite("gradient_clip", self.gradient_clip, positive=True)
@@ -62,7 +61,7 @@ def initial_network(cfg: GdConfig) -> Network:
     input sits at the domain center.
     """
     rng = np.random.default_rng(cfg.spec.seed)
-    mid = 0.5 * (LOGIT_SIGMOID.lo + LOGIT_SIGMOID.hi)
+    mid = 0.5  # the centre of logit's domain (0, 1)
     weights = []
     for k, (rows, cols) in enumerate(cfg.spec.weight_shapes):
         scale = 0.5 / np.sqrt(rows - 1)
@@ -79,8 +78,6 @@ def _sse_and_gradients(net: Network, xm: np.ndarray, ym: np.ndarray, cache: list
     """SSE and gradients at ``net`` on checked ``xm`` and ``ym``: one forward
     pass that refills ``cache``, one backprop through ``scratch``, whose
     buffers it allocates when given an empty list.  The gradients are new."""
-    pair = LOGIT_SIGMOID
-    lo, hi = pair.lo + pair.clamp_eps, pair.hi - pair.clamp_eps
     resid = forward(net, xm, cache)
     resid -= ym
     if not scratch:
@@ -95,8 +92,8 @@ def _sse_and_gradients(net: Network, xm: np.ndarray, ym: np.ndarray, cache: list
     for k in range(len(net.weights) - 1, -1, -1):
         a, c = cache[2 * k], cache[2 * k + 1]
         d, above, below, down = scratch[k]
-        np.multiply(delta, pair.forward_deriv(c, out=d), out=d)
-        mask = np.bitwise_and(np.greater(c, lo, out=above), np.less(c, hi, out=below), out=above)
+        np.multiply(delta, logit_deriv(c, out=d), out=d)
+        mask = np.bitwise_and(np.greater(c, LO, out=above), np.less(c, HI, out=below), out=above)
         np.multiply(d, mask, out=d)
         grads[k] = a.T @ d
         if k > 0:
@@ -130,7 +127,7 @@ def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
             w -= np.multiply(cfg.learning_rate, g, out=g)
     forward(net, xm, cache)
     return net, _finish_report(
-        net, cache[-2], apply_phi(LOGIT_SIGMOID, ym), ym, t0, trainer="gd",
+        net, cache[-2], apply_sigmoid(ym), ym, t0, trainer="gd",
         iterations=cfg.max_iters, init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
     )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .activations import LOGIT_SIGMOID
+from .activations import ACTIVATION, clamp, logit
 from .errors import ConfigError, DataError, DimensionError, KarnetError, NumericalError
 
 __all__ = [
@@ -38,8 +38,8 @@ __all__ = [
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture description: layer sizes and an init seed in [0, 2**64),
-    the integers a weights file can hold.  Every layer applies
-    ``LOGIT_SIGMOID``, whose name the dict form records."""
+    the integers a weights file can hold.  Every layer applies the one
+    activation, whose name ``ACTIVATION`` the dict form records."""
 
     input_dim: int
     hidden: tuple[int, ...]
@@ -68,22 +68,22 @@ class NetworkSpec:
             "input_dim": self.input_dim,
             "hidden": list(self.hidden),
             "output_dim": self.output_dim,
-            "activation": LOGIT_SIGMOID.name,
+            "activation": ACTIVATION,
             "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        """Read a dict form; an activation other than LOGIT_SIGMOID's is a DataError."""
+        """Read a dict form; an activation other than ``ACTIVATION`` is a DataError."""
         spec = cls(
             input_dim=int(d["input_dim"]),
             hidden=tuple(d["hidden"]),
             output_dim=int(d["output_dim"]),
             seed=int(d.get("seed", 0)),
         )
-        name = d.get("activation", LOGIT_SIGMOID.name)
-        if name != LOGIT_SIGMOID.name:
-            raise DataError(f"unknown activation pair {name!r} (known: {LOGIT_SIGMOID.name})")
+        name = d.get("activation", ACTIVATION)
+        if name != ACTIVATION:
+            raise DataError(f"unknown activation pair {name!r} (known: {ACTIVATION})")
         return spec
 
 
@@ -137,10 +137,10 @@ def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
         a[:, 0] = 1.0
         a[:, 1:] = g
         z = np.matmul(a, w, out=cache[2 * k + 1] if refill else None)
-        LOGIT_SIGMOID.clamp(z, out=z)
+        clamp(z, out=z)
         if cache is not None and not refill:
             cache += (a, z)
-        g = LOGIT_SIGMOID.forward(z)
+        g = logit(z)
     return g
 
 

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .activations import LOGIT_SIGMOID, apply_f, apply_phi
+from .activations import apply_logit, apply_sigmoid
 from .errors import ConfigError, DimensionError, NumericalError, RankDeficiencyError, check_finite
 from .linalg import as_matrix, lstsq, require_rank
 from .network import Network, NetworkSpec, add_bias_column
@@ -155,7 +155,7 @@ def _finish_report(
     ``fields`` name the trainer and its counts."""
     z = a @ net.weights[-1]
     r = z - target
-    g = apply_f(LOGIT_SIGMOID, z)
+    g = apply_logit(z)
     return TrainReport(
         train_sse=float(np.sum((g - y) ** 2)),
         train_sse_transformed=float(np.sum(r * r)),
@@ -178,22 +178,23 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     rng = np.random.default_rng(spec.seed)
     shapes = spec.weight_shapes
 
+    # a cutoff rcond >= 1 keeps none of a random node block's unit singular values
+    if n > 1 and cfg.rcond is not None and cfg.rcond >= 1.0:
+        raise RankDeficiencyError(
+            f"random node block of layer {n} is numerically rank-deficient (rank 0)"
+        )
+
     # random initialization of layers 2..n (bias rows and node blocks)
     weights: list[np.ndarray | None] = [None] * n
     for k in range(2, n + 1):
         weights[k - 1] = _orthonormal_layer(rng, shapes[k - 1])
 
     # peeling chain, outermost first (the bias row broadcasts: 1 w_k^T bit for
-    # bit); an entry peeled through a q-wide layer is within sqrt(q) of 0, so
-    # finite.  A cutoff rcond >= 1 keeps none of a block's unit singular values
+    # bit); an entry peeled through a q-wide layer is within sqrt(q) of 0, so finite
     peeled: list[np.ndarray | None] = [None] * (n + 1)
-    peeled[n] = apply_phi(LOGIT_SIGMOID, ym)
+    peeled[n] = apply_sigmoid(ym)
     for k, wk in zip(range(n, 1, -1), reversed(weights[1:])):
-        if cfg.rcond is not None and cfg.rcond >= 1.0:
-            raise RankDeficiencyError(
-                f"random node block of layer {k} is numerically rank-deficient (rank 0)"
-            )
-        peeled[k - 1] = apply_phi(LOGIT_SIGMOID, (peeled[k] - wk[0, :]) @ wk[1:, :].T)
+        peeled[k - 1] = apply_sigmoid((peeled[k] - wk[0, :]) @ wk[1:, :].T)
 
     # first layer from the fully peeled target, then layers 2..n in order,
     # each against its peeled target with the layers behind it still random;
@@ -204,7 +205,7 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
         peeled[k - 1] = None
         z = _finite_or_raise(a @ weights[k - 2], k - 1, "pre-activation")
         del a
-        a = add_bias_column(apply_f(LOGIT_SIGMOID, z))
+        a = add_bias_column(apply_logit(z))
         del z
         weights[k - 1] = _solve(
             a, peeled[k], cfg.rcond, f"activation matrix of layer {k}"
@@ -273,10 +274,10 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
         weights.append(w)
         z = _finite_or_raise(a @ w, k, "pre-activation")
         del a  # the old activation matrix goes before the next one is made
-        a = add_bias_column(apply_f(LOGIT_SIGMOID, z))
+        a = add_bias_column(apply_logit(z))
         del z
 
-    target = apply_phi(LOGIT_SIGMOID, ym)
+    target = apply_sigmoid(ym)
     if spec.n_layers == 2:
         node = _solve(a[:, 1:], target, cfg.rcond, "hidden activation matrix")
         w_out = np.vstack([np.zeros((1, spec.output_dim)), node])

@@ -1,4 +1,4 @@
-"""Activation pair tests: the logit/sigmoid reference pair."""
+"""Activation tests: logit and its inverse, the sigmoid."""
 
 import math
 
@@ -8,85 +8,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from karnet import LOGIT_SIGMOID, apply_f, apply_phi
-
-PAIR = LOGIT_SIGMOID
+from karnet.activations import CLAMP_EPS, HI, LO, apply_logit, apply_sigmoid, logit_deriv
 
 
 class TestApplyF:
     def test_midpoint_maps_to_zero(self):
-        out = apply_f(PAIR, np.full((3, 2), 0.5))
+        out = apply_logit(np.full((3, 2), 0.5))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_boundary_clamps_finite(self):
-        out = apply_f(PAIR, np.array([[1.0, 0.0]]))
+        out = apply_logit(np.array([[1.0, 0.0]]))
         assert np.all(np.isfinite(out))
-        expected_hi = math.log((1.0 - PAIR.clamp_eps) / PAIR.clamp_eps)
+        expected_hi = math.log((1.0 - CLAMP_EPS) / CLAMP_EPS)
         np.testing.assert_allclose(out, [[expected_hi, -expected_hi]])
 
     def test_scalar_value_against_direct_log(self):
         x = 0.9991
-        out = apply_f(PAIR, np.array([[x]]))
+        out = apply_logit(np.array([[x]]))
         assert out[0, 0] == pytest.approx(math.log(x / (1.0 - x)), abs=1e-10)
 
     def test_outputs_finite_for_arbitrary_inputs(self):
         rng = np.random.default_rng(0)
         m = rng.normal(scale=100.0, size=(50, 4))
-        assert np.all(np.isfinite(apply_f(PAIR, m)))
+        assert np.all(np.isfinite(apply_logit(m)))
 
 
 class TestApplyPhi:
     def test_zero_maps_to_half(self):
-        out = apply_phi(PAIR, np.zeros((2, 2)))
+        out = apply_sigmoid(np.zeros((2, 2)))
         np.testing.assert_allclose(out, 0.5)
 
     def test_saturation_clamped_into_domain(self):
-        out = apply_phi(PAIR, np.array([[-1e4, 1e4]]))
-        assert out[0, 0] >= PAIR.lo + PAIR.clamp_eps
-        assert out[0, 1] <= PAIR.hi - PAIR.clamp_eps
+        out = apply_sigmoid(np.array([[-1e4, 1e4]]))
+        assert out[0, 0] >= LO
+        assert out[0, 1] <= HI
 
     def test_outputs_always_inside_band(self):
         rng = np.random.default_rng(1)
-        out = apply_phi(PAIR, rng.normal(scale=1e3, size=(100, 3)))
-        assert np.all(out >= PAIR.lo + PAIR.clamp_eps)
-        assert np.all(out <= PAIR.hi - PAIR.clamp_eps)
+        out = apply_sigmoid(rng.normal(scale=1e3, size=(100, 3)))
+        assert np.all(out >= LO)
+        assert np.all(out <= HI)
 
 
 class TestPairProperties:
     def test_roundtrip_grid(self):
         """phi(f(x)) = x to 1e-10 on a 1000-point grid inside the safe domain."""
         x = np.linspace(0.01, 0.99, 1000).reshape(40, 25)
-        np.testing.assert_allclose(apply_phi(PAIR, apply_f(PAIR, x)), x, atol=1e-10)
+        np.testing.assert_allclose(apply_sigmoid(apply_logit(x)), x, atol=1e-10)
 
     def test_forward_monotone(self):
         x = np.sort(np.random.default_rng(2).uniform(0.001, 0.999, size=500))
-        fx = apply_f(PAIR, x.reshape(1, -1)).ravel()
+        fx = apply_logit(x.reshape(1, -1)).ravel()
         assert np.all(np.diff(fx) > 0)
 
     def test_inverse_monotone(self):
         y = np.sort(np.random.default_rng(3).normal(scale=5.0, size=500))
-        py = apply_phi(PAIR, y.reshape(1, -1)).ravel()
+        py = apply_sigmoid(y.reshape(1, -1)).ravel()
         assert np.all(np.diff(py) >= 0)
 
     def test_derivative_matches_finite_differences(self):
         x = np.linspace(0.05, 0.95, 101)
         h = 1e-7
-        numeric = (apply_f(PAIR, (x + h).reshape(1, -1)) -
-                   apply_f(PAIR, (x - h).reshape(1, -1))) / (2 * h)
-        analytic = PAIR.forward_deriv(x.reshape(1, -1))
+        numeric = (apply_logit((x + h).reshape(1, -1)) -
+                   apply_logit((x - h).reshape(1, -1))) / (2 * h)
+        analytic = logit_deriv(x.reshape(1, -1))
         np.testing.assert_allclose(numeric, analytic, rtol=1e-5)
 
 
-def _old_apply_f(m):
-    a = np.clip(np.asarray(m, dtype=np.float64), PAIR.lo + PAIR.clamp_eps,
-                PAIR.hi - PAIR.clamp_eps)
+def _old_apply_logit(m):
+    a = np.clip(np.asarray(m, dtype=np.float64), LO, HI)
     return np.log(a / (1.0 - a))
 
 
-def _old_apply_phi(m):
+def _old_apply_sigmoid(m):
     z = np.clip(np.asarray(m, dtype=np.float64), -700.0, 700.0)
-    return np.clip(1.0 / (1.0 + np.exp(-z)), PAIR.lo + PAIR.clamp_eps,
-                   PAIR.hi - PAIR.clamp_eps)
+    return np.clip(1.0 / (1.0 + np.exp(-z)), LO, HI)
 
 
 _ELEMENTS = st.one_of(
@@ -97,7 +93,7 @@ _ELEMENTS = st.one_of(
 
 
 class TestInPlaceEvaluation:
-    """apply_f and apply_phi work in buffers they allocate themselves: the
+    """apply_logit and apply_sigmoid work in buffers they allocate themselves: the
     results are the bits of the plain expressions and the input is untouched."""
 
     @settings(max_examples=300, deadline=None)
@@ -106,12 +102,12 @@ class TestInPlaceEvaluation:
     def test_matches_plain_expressions_bit_for_bit(self, m):
         for view in (m, m.T, m[::2] if m.ndim else m):
             before = view.copy()
-            for new, old in ((apply_f, _old_apply_f), (apply_phi, _old_apply_phi)):
-                got, want = np.asarray(new(PAIR, view)), np.asarray(old(view))
+            for new, old in ((apply_logit, _old_apply_logit), (apply_sigmoid, _old_apply_sigmoid)):
+                got, want = np.asarray(new(view)), np.asarray(old(view))
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
                 assert view.tobytes() == before.tobytes()
 
     def test_python_scalar(self):
-        assert float(apply_f(PAIR, 0.3)) == float(_old_apply_f(0.3))
-        assert float(apply_phi(PAIR, 0.3)) == float(_old_apply_phi(0.3))
+        assert float(apply_logit(0.3)) == float(_old_apply_logit(0.3))
+        assert float(apply_sigmoid(0.3)) == float(_old_apply_sigmoid(0.3))

@@ -408,6 +408,49 @@ class TestFailureContract:
         assert "Traceback" not in err and "non-finite" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_is_config_error(self, tmp_path, capsys, value):
+        """A NaN or infinite step is a bad option, not a non-finite loss at
+        iteration 1; a finite step that overflows stays exit 4 (above)."""
+        code = run_cli("cv", "--data", "iris", "--layers", "3", "--trainer", "gd",
+                       "--folds", "2", "--trials", "1", "--max-iters", "5",
+                       f"--learning-rate={value}", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("scale_eps", ["abc", None, [1], 0.7, 0, 0.5])
+    def test_malformed_scale_eps_in_train_report_is_data_error(self, tmp_path, scale_eps):
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", "iris", "--layers", "5",
+                       "--out", str(out)) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        report["preprocessing"]["scale_eps"] = scale_eps
+        (out / "report.json").write_text(json.dumps(report))
+        code, err = run_cli_process(
+            "eval", "--data", "iris", "--weights", str(out / "weights.json"),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert code == EXIT_DATA
+        assert "Traceback" not in err
+        assert str(out / "report.json") in err and "scale_eps" in err
+
+    def test_feature_spanning_more_than_the_largest_double_trains(self, tmp_path):
+        """A column from -1e308 to 1e308 has a span past the largest double;
+        it still scales into [eps, 1 - eps] and trains without a warning."""
+        from karnet.data import load_csv, scale_minmax
+
+        data = tmp_path / "wide.csv"
+        data.write_text("1e308,0.1,a\n-1e308,0.2,b\n0.5,0.3,a\n1.0,0.4,b\n")
+        code, err = run_cli_process(
+            "train", "--data", str(data), "--layers", "2", "--out", str(tmp_path / "o"),
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        x = scale_minmax(load_csv(data, -1), 0.01).x
+        assert np.all((x >= 0.01) & (x <= 0.99))
+        np.testing.assert_array_equal(x[:, 0], [0.99, 0.01, 0.5, 0.5])
+
     @pytest.mark.parametrize("command, seed", [
         pytest.param(command, seed, id=command if seed == "-1" else f"{command}-2**64")
         for seed in ("-1", "18446744073709551616")

@@ -7,16 +7,16 @@ import pytest
 
 import karnet.gradient_descent
 from karnet import (
-    LOGIT_SIGMOID,
     DimensionError,
     GdConfig,
     Network,
     NetworkSpec,
-    apply_phi,
+    apply_sigmoid,
     check_gradient,
     forward,
     train_gd,
 )
+from karnet.activations import HI, LO
 from karnet.gradient_descent import _sse_and_gradients, initial_network, sse_and_gradients
 from karnet.training import _finish_report
 
@@ -161,13 +161,11 @@ def reference_descent(x, y, cfg, init):
     """Plain full-batch descent from ``init``: a fresh forward cache and new
     arrays on every step, each operation in the order ``train_gd`` applies
     it."""
-    pair = LOGIT_SIGMOID
-    lo, hi = pair.lo + pair.clamp_eps, pair.hi - pair.clamp_eps
     net = Network(spec=init.spec, weights=[w.copy() for w in init.weights])
     for _ in range(cfg.max_iters):
         cache, a = [], np.hstack([np.ones((x.shape[0], 1)), x])
         for w in net.weights:
-            z = np.clip(a @ w, lo, hi)
+            z = np.clip(a @ w, LO, HI)
             cache += (a, z)
             g = np.log(z / (1.0 - z))
             a = np.hstack([np.ones((x.shape[0], 1)), g])
@@ -177,7 +175,7 @@ def reference_descent(x, y, cfg, init):
         grads = [None] * len(net.weights)
         for k in range(len(net.weights) - 1, -1, -1):
             a, c = cache[2 * k], cache[2 * k + 1]
-            delta = delta * (1.0 / (c * (1.0 - c))) * ((c > lo) & (c < hi))
+            delta = delta * (1.0 / (c * (1.0 - c))) * ((c > LO) & (c < HI))
             grads[k] = a.T @ delta
             if k > 0:
                 delta = (delta @ net.weights[k].T)[:, 1:]
@@ -219,14 +217,14 @@ class TestBufferedDescent:
         cache = []
         forward(want, x, cache)
         rep_want = _finish_report(
-            want, cache[-2], apply_phi(LOGIT_SIGMOID, y), y, 0.0,
+            want, cache[-2], apply_sigmoid(y), y, 0.0,
             trainer="gd", iterations=cfg.max_iters, init_style=rep.init_style,
         )
         got, expected = dataclasses.asdict(rep), dataclasses.asdict(rep_want)
         del got["wall_time"], expected["wall_time"]
         assert got == expected
         if clamped is not None:
-            assert np.all(cache[-1][:, clamped] == LOGIT_SIGMOID.hi - LOGIT_SIGMOID.clamp_eps)
+            assert np.all(cache[-1][:, clamped] == HI)
 
     def test_a_step_leaves_the_last_steps_results_alone(self):
         x, y, spec = small_problem(12, m=9, hidden=(5, 3))

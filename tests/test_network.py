@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karnet import (
-    LOGIT_SIGMOID,
     ConfigError,
     DataError,
     DimensionError,
@@ -18,8 +17,8 @@ from karnet import (
     Network,
     NetworkSpec,
     NumericalError,
-    apply_f,
-    apply_phi,
+    apply_logit,
+    apply_sigmoid,
     forward,
     load_network,
     network_from_json,
@@ -73,8 +72,7 @@ class TestForward:
         domain floor, so the output is the constant f(clamped 0)."""
         spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1)
         net = Network(spec=spec, weights=[np.zeros((3, 3)), np.zeros((4, 1))])
-        pair = LOGIT_SIGMOID
-        expected = apply_f(pair, np.zeros((1, 1)))[0, 0]
+        expected = apply_logit(np.zeros((1, 1)))[0, 0]
         out = forward(net, np.random.default_rng(0).uniform(0.1, 0.9, (4, 2)))
         np.testing.assert_allclose(out, expected)
 
@@ -82,10 +80,9 @@ class TestForward:
         """With m = d + 1 full-rank inputs the augmented system is square:
         solving the transformed targets reproduces them through the net."""
         rng = np.random.default_rng(3)
-        pair = LOGIT_SIGMOID
         x = rng.uniform(0.05, 0.95, size=(4, 3))
         y = rng.uniform(0.1, 0.9, size=(4, 2))
-        w1 = pinv(add_bias_column(x)).pinv @ apply_phi(pair, y)
+        w1 = pinv(add_bias_column(x)).pinv @ apply_sigmoid(y)
         spec = NetworkSpec(input_dim=3, hidden=(), output_dim=2)
         net = Network(spec=spec, weights=[w1])
         np.testing.assert_allclose(forward(net, x), y, atol=1e-6)
@@ -205,7 +202,7 @@ class TestForwardCache:
         x = rng.uniform(0.1, 0.9, (8, 3))
         g = x
         for w in net.weights:
-            g = apply_f(LOGIT_SIGMOID, add_bias_column(g) @ w)
+            g = apply_logit(add_bias_column(g) @ w)
         np.testing.assert_array_equal(forward(net, x), g)
 
 

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karnet import (
-    LOGIT_SIGMOID,
     GdConfig,
     KarConfig,
     NetworkSpec,
-    apply_phi,
+    apply_sigmoid,
     error_rate,
     forward,
     make_xor,
@@ -22,8 +21,6 @@ from karnet import (
 from karnet.errors import RankDeficiencyError
 from karnet.linalg import lstsq, pinv, require_rank
 from karnet.training import _orthonormal_layer
-
-PAIR = LOGIT_SIGMOID
 
 
 def spec_for(x, y, hidden, seed=0):
@@ -37,7 +34,7 @@ def phi_space_sse(net, x, y):
     read from the forward pass's cache, times its weights."""
     cache = []
     forward(net, x, cache)
-    r = cache[-2] @ net.weights[-1] - apply_phi(PAIR, y)
+    r = cache[-2] @ net.weights[-1] - apply_sigmoid(y)
     return float(np.sum(r * r))
 
 
@@ -92,17 +89,17 @@ class TestTwoLayer:
         layer off phi(Y) through its node block's transpose, solve the hidden
         layer, re-solve the output layer; each data-side solve is the
         library's one least-squares routine."""
-        from karnet import apply_f
+        from karnet import apply_logit
         from karnet.network import add_bias_column
 
         ds = make_xor(perturbed=True)
         cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,), seed=3))
         w2 = _orthonormal_layer(np.random.default_rng(3), (3, 1))
-        b2 = apply_phi(PAIR, ds.y)
-        b1 = apply_phi(PAIR, (b2 - w2[0, :]) @ w2[1:, :].T)
+        b2 = apply_sigmoid(ds.y)
+        b1 = apply_sigmoid((b2 - w2[0, :]) @ w2[1:, :].T)
         x1 = add_bias_column(ds.x)
         w1 = lstsq(x1, b1).theta
-        w2 = lstsq(add_bias_column(apply_f(PAIR, x1 @ w1)), b2).theta
+        w2 = lstsq(add_bias_column(apply_logit(x1 @ w1)), b2).theta
         net, _ = train_n_layer(ds.x, ds.y, cfg)
         np.testing.assert_array_equal(net.weights[0], w1)
         np.testing.assert_array_equal(net.weights[1], w2)
@@ -298,9 +295,9 @@ class TestReportFromOwnActivations:
 
 def _hidden_full_rank(net, x, m):
     from karnet.network import add_bias_column
-    from karnet import apply_f
+    from karnet import apply_logit
 
-    h = apply_f(PAIR, add_bias_column(x) @ net.weights[0])
+    h = apply_logit(add_bias_column(x) @ net.weights[0])
     s = np.linalg.svd(h, compute_uv=False)
     return np.sum(s > max(h.shape) * np.finfo(float).eps * s[0]) >= m
 
