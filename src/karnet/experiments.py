@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,11 @@ __all__ = [
 
 PAPER_GRID = (1, 2, 3, 5, 10, 20, 30, 50, 80, 100, 200, 500)
 IRIS_SWEEP_GRID = tuple(range(79, 94))
+# cv runs its (trial, fold) units after the first on a process pool when they
+# would take at least this many seconds here: a spawn pool of two workers
+# costs about 0.4 s to start, import numpy and karnet and map a trivial call.
+POOL_MIN_SECONDS = 1.0
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -276,6 +283,71 @@ def _select_hidden(
     return cfg.hidden_for(best_h)
 
 
+def _cv_unit(cfg: ExperimentConfig, ds: Dataset, unit: tuple[int, int]) -> dict:
+    """The report row of one (trial, fold): select the hidden sizes, fit on
+    the training folds and score the held-out one.  Module-level, so that a
+    pool worker can run it."""
+    trial, fold = unit
+    plan = stratified_folds(ds.labels, cfg.folds, _unit_seed(cfg.seed, trial))
+    train = split_rows(ds, plan.train_indices(fold))
+    train_s, test_s = _scaled(train, split_rows(ds, plan.test_indices(fold)), cfg.scale_eps)
+    t0 = time.perf_counter()
+    grid_seed = _unit_seed(cfg.seed, trial, fold)
+    hidden = _select_hidden(cfg, train, grid_seed) if cfg.grid else cfg.layers
+    select_time = time.perf_counter() - t0
+    seed = _unit_seed(cfg.seed, trial, fold, 1)
+    t0 = time.perf_counter()
+    net, rep = _train_once(cfg, train_s.x, train_s.y, hidden, seed)
+    train_time = time.perf_counter() - t0
+    return {"trial": trial, "fold": fold, "trainer": cfg.trainer, "hidden": list(hidden),
+            "accuracy": 1.0 - _test_error(net, test_s), "train_sse": rep.train_sse,
+            "select_wall_time": select_time, "train_wall_time": train_time}
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (``taskset`` lowers it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _process_pool(workers: int):
+    """An executor of ``workers`` spawned processes (imported only to pool)."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+
+def _pool_rows(cfg: ExperimentConfig, ds: Dataset, units: list, workers: int) -> list[dict]:
+    """Rows of ``units``, in order, from a pool of ``workers`` processes that
+    each run BLAS on one thread.  A KarnetError in a worker is raised here
+    as it was raised there.  If the pool cannot start or breaks, the rows
+    it finished are returned and the caller runs the rest itself."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    rows: list[dict] = []
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))  # read as a worker imports numpy
+    try:
+        pool = _process_pool(workers)
+        try:
+            for row in pool.map(_cv_unit, repeat(cfg), repeat(ds), units):
+                rows.append(row)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    except (BrokenProcessPool, OSError):
+        pass  # e.g. a script without a __main__ guard, which spawn runs again in each worker
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+    return rows
+
+
 def run_cv(cfg: ExperimentConfig) -> dict:
     """Stratified k-fold cross-validation, repeated over trials.
 
@@ -287,6 +359,10 @@ def run_cv(cfg: ExperimentConfig) -> dict:
     otherwise.  Each row times that selection (``select_wall_time``) apart
     from the final fit (``train_wall_time``); ``aggregate.total_wall_time``
     is their sum.
+
+    The first (trial, fold) unit runs here; if the rest would take at least
+    ``POOL_MIN_SECONDS`` at its pace, they go to one process per usable CPU.
+    Rows keep (trial, fold) order either way.
     """
     ds = load_dataset(cfg)
     if ds.labels is None or ds.class_count < 2:
@@ -299,41 +375,17 @@ def run_cv(cfg: ExperimentConfig) -> dict:
         raise ConfigError("cv needs --layers or a sweep --grid")
     if cfg.folds > ds.n_samples:
         raise ConfigError(f"folds={cfg.folds} exceed {ds.n_samples} samples")
+    if cfg.folds < 2:
+        raise ConfigError(f"need k >= 2 folds, got {cfg.folds}")
     outdir = _output_dir(cfg)
 
-    rows = []
-    for trial in range(cfg.trials):
-        plan_seed = _unit_seed(cfg.seed, trial)
-        plan = stratified_folds(ds.labels, cfg.folds, plan_seed)
-        for fold in range(cfg.folds):
-            train = split_rows(ds, plan.train_indices(fold))
-            train_s, test_s = _scaled(
-                train, split_rows(ds, plan.test_indices(fold)), cfg.scale_eps
-            )
-            t0 = time.perf_counter()
-            hidden = (
-                _select_hidden(cfg, train, _unit_seed(cfg.seed, trial, fold))
-                if cfg.grid
-                else cfg.layers
-            )
-            select_time = time.perf_counter() - t0
-            seed = _unit_seed(cfg.seed, trial, fold, 1)
-            t0 = time.perf_counter()
-            net, rep = _train_once(cfg, train_s.x, train_s.y, hidden, seed)
-            train_time = time.perf_counter() - t0
-            acc = 1.0 - _test_error(net, test_s)
-            rows.append(
-                {
-                    "trial": trial,
-                    "fold": fold,
-                    "trainer": cfg.trainer,
-                    "hidden": list(hidden),
-                    "accuracy": acc,
-                    "train_sse": rep.train_sse,
-                    "select_wall_time": select_time,
-                    "train_wall_time": train_time,
-                }
-            )
+    units = [(trial, fold) for trial in range(cfg.trials) for fold in range(cfg.folds)]
+    t0 = time.perf_counter()
+    rows = [_cv_unit(cfg, ds, units[0])]
+    workers = min(_usable_cpus(), len(units) - 1)
+    if workers > 1 and (time.perf_counter() - t0) * (len(units) - 1) >= POOL_MIN_SECONDS:
+        rows += _pool_rows(cfg, ds, units[1:], workers)
+    rows += [_cv_unit(cfg, ds, unit) for unit in units[len(rows):]]
 
     accuracies = [r["accuracy"] for r in rows]
     times = [r["train_wall_time"] for r in rows]
@@ -422,6 +474,8 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
             raise DataError(
                 f"train report scales {len(scaling)} features, data has {ds.n_features}"
             )
+        if not np.all(np.isfinite(scaling)):
+            raise DataError(f"train report {sidecar}: scaling holds a non-finite bound")
         eps = pre.get("scale_eps", eps)
         if "scale_eps" in pre and not (type(eps) is float and 0.0 < eps < 0.5):
             raise DataError(f"train report {sidecar}: scale_eps {eps!r} is not a number in (0, 0.5)")

@@ -327,16 +327,22 @@ def _strip_wall_times(obj):
     return obj
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Repeated cv and iris-sweep runs with one seed/config match byte for
-    byte once wall-time fields are removed."""
+    byte once wall-time fields are removed; so does a cv run whose units
+    after the first go to the process pool."""
+    import karnet.experiments as experiments
+
     blobs = {"cv": [], "sweep": [], "sweep_csv": []}
-    for tag in ("a", "b"):
+    for tag, pool_min_seconds in (("a", float("inf")), ("b", float("inf")), ("pooled", 0.0)):
+        monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", pool_min_seconds)
         out_cv = tmp_path / f"cv_{tag}"
         run_cv(ExperimentConfig(dataset="iris", out=str(out_cv), seed=5,
                                 trials=2, folds=5, layers=(20,)))
         rep = json.loads((out_cv / "report.json").read_text())
         blobs["cv"].append(json.dumps(_strip_wall_times(rep), sort_keys=True).encode())
+        if tag == "pooled":
+            continue
 
         out_sw = tmp_path / f"sw_{tag}"
         run_iris_sweep(ExperimentConfig(out=str(out_sw), seed=5, trials=3,
@@ -344,8 +350,9 @@ def test_criterion_9_determinism(tmp_path):
         rep = json.loads((out_sw / "report.json").read_text())
         blobs["sweep"].append(json.dumps(_strip_wall_times(rep), sort_keys=True).encode())
         blobs["sweep_csv"].append((out_sw / "sweep.csv").read_bytes())
-    ok = all(pair[0] == pair[1] for pair in blobs.values())
-    report("9 determinism", ok, "cv + iris-sweep reports byte-identical modulo wall time")
-    assert blobs["cv"][0] == blobs["cv"][1]
+    ok = all(len(set(runs)) == 1 for runs in blobs.values())
+    report("9 determinism", ok,
+           "cv (inline twice, pooled once) + iris-sweep reports byte-identical modulo wall time")
+    assert blobs["cv"][0] == blobs["cv"][1] == blobs["cv"][2]
     assert blobs["sweep"][0] == blobs["sweep"][1]
     assert blobs["sweep_csv"][0] == blobs["sweep_csv"][1]

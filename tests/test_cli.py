@@ -435,6 +435,23 @@ class TestFailureContract:
         assert "Traceback" not in err
         assert str(out / "report.json") in err and "scale_eps" in err
 
+    def test_non_finite_scaling_bound_in_train_report_is_data_error(self, tmp_path):
+        """A bound json reads as Infinity would scale its column to NaN."""
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", "iris", "--layers", "5",
+                       "--out", str(out)) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        report["preprocessing"]["scaling"][1] = [float("-inf"), float("inf")]
+        (out / "report.json").write_text(json.dumps(report))
+        code, err = run_cli_process(
+            "eval", "--data", "iris", "--weights", str(out / "weights.json"),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert code == EXIT_DATA
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert str(out / "report.json") in err and "non-finite bound" in err
+        assert not (tmp_path / "eval" / "eval_report.json").exists()
+
     def test_feature_spanning_more_than_the_largest_double_trains(self, tmp_path):
         """A column from -1e308 to 1e308 has a span past the largest double;
         it still scales into [eps, 1 - eps] and trains without a warning."""

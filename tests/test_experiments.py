@@ -2,12 +2,18 @@
 
 import csv
 import json
+import multiprocessing
+import os
+import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import karnet.experiments as experiments
 from karnet import ConfigError, ExperimentConfig, error_rate
-from karnet.errors import NumericalError
+from karnet.cli import EXIT_NUMERIC, main
+from karnet.errors import DataError, NumericalError
 from karnet.experiments import run_cv, run_iris_sweep, run_xor_demo, write_report
 
 
@@ -141,8 +147,6 @@ class TestRunCv:
 
     def test_inner_folds_scaled_once(self, tmp_path, monkeypatch):
         """Model selection scales each inner fold once, not once per grid value."""
-        import karnet.experiments as experiments
-
         calls = []
         original = experiments.scale_minmax
 
@@ -151,6 +155,7 @@ class TestRunCv:
             return original(ds, eps)
 
         monkeypatch.setattr(experiments, "scale_minmax", counting)
+        force_inline(monkeypatch)  # the patch cannot reach a spawned worker
         folds = 3
         run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path), seed=0, trials=1,
                                 folds=folds, grid=(1, 2, 5), pattern="exp2"))
@@ -171,6 +176,122 @@ class TestRunCv:
                 folds=4, layers=(8,))))
         a, b = (json.dumps(strip_wall_times(r), sort_keys=True) for r in reports)
         assert a == b
+
+
+def force_inline(monkeypatch):
+    """Run every cv unit in this process."""
+    monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", float("inf"))
+
+
+def force_pool(monkeypatch):
+    """Hand every cv unit after the first to the process pool, whatever it
+    costs; returns the worker count of each pool started."""
+    if experiments._usable_cpus() < 2:
+        pytest.skip("cv pools only with two usable CPUs")
+    started = []
+    factory = experiments._process_pool
+
+    def counting(workers):
+        started.append(workers)
+        return factory(workers)
+
+    monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", 0.0)
+    monkeypatch.setattr(experiments, "_process_pool", counting)
+    return started
+
+
+def _cv_blob(out) -> str:
+    return json.dumps(strip_wall_times(json.loads((out / "report.json").read_text())),
+                      sort_keys=True)
+
+
+# exercised in a worker: unit (0, 2) of this run overflows (lr 1e148, seed 0);
+# unit (0, 0), which runs first and in this process, does not
+_OVERFLOWING_GD_CV = ["cv", "--data", "iris", "--layers", "3", "--trainer", "gd",
+                      "--learning-rate", "1e148", "--max-iters", "1", "--trials", "1",
+                      "--folds", "5", "--seed", "0"]
+
+
+class TestCvPool:
+    @pytest.mark.parametrize("options", [
+        pytest.param(dict(grid=(1, 5, 20), pattern="exp2", trials=1, folds=3), id="kar-grid"),
+        pytest.param(dict(layers=(8, 4), trials=2, folds=3), id="kar-layers"),
+        pytest.param(dict(layers=(5,), trainer="gd", max_iters=20, gradient_clip=1.0,
+                          trials=1, folds=4), id="gd"),
+    ])
+    def test_pooled_report_matches_inline(self, tmp_path, monkeypatch, options):
+        blas = {var: os.environ.get(var) for var in experiments._BLAS_THREAD_VARS}
+        cfg = dict(dataset="iris", seed=7, **options)
+        force_inline(monkeypatch)
+        run_cv(ExperimentConfig(out=str(tmp_path / "inline"), **cfg))
+        started = force_pool(monkeypatch)
+        rep = run_cv(ExperimentConfig(out=str(tmp_path / "pooled"), **cfg))
+        units = cfg["trials"] * cfg["folds"]
+        assert started == [min(experiments._usable_cpus(), units - 1)]
+        assert _cv_blob(tmp_path / "pooled") == _cv_blob(tmp_path / "inline")
+        parts = sum(r["select_wall_time"] + r["train_wall_time"] for r in rep["rows"])
+        assert rep["aggregate"]["total_wall_time"] == pytest.approx(parts, rel=1e-12)
+        assert multiprocessing.active_children() == []
+        assert {var: os.environ.get(var) for var in blas} == blas
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_numerical_error_in_a_worker_exits_4(self, tmp_path, monkeypatch, capsys):
+        errors = []
+        for tag in ("inline", "pooled"):
+            if tag == "pooled":
+                started = force_pool(monkeypatch)
+            else:
+                force_inline(monkeypatch)
+            assert main([*_OVERFLOWING_GD_CV, "--out", str(tmp_path / tag)]) == EXIT_NUMERIC
+            errors.append([ln for ln in capsys.readouterr().err.splitlines()
+                           if ln.startswith("error:")])
+            assert not (tmp_path / tag / "report.json").exists()
+        assert started == [min(experiments._usable_cpus(), 4)]
+        assert errors[0] == errors[1] and "non-finite" in errors[0][0]
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failed_run(self, tmp_path, monkeypatch):
+        force_pool(monkeypatch)
+        cfg = ExperimentConfig(dataset="iris", layers=(3,), trainer="gd",
+                               learning_rate=1e148, max_iters=1, trials=1, folds=5,
+                               seed=0, out=str(tmp_path))
+        with pytest.raises(NumericalError, match="non-finite"):
+            run_cv(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_data_error_keeps_its_location_through_pickle(self):
+        exc = pickle.loads(pickle.dumps(DataError("bad cell", row=4, column=2)))
+        assert type(exc) is DataError
+        assert (str(exc), exc.row, exc.column) == ("bad cell (row 4, column 2)", 4, 2)
+
+    @pytest.mark.parametrize("rows_before_break", [None, 1])
+    def test_broken_pool_falls_back_inline(self, tmp_path, monkeypatch, rows_before_break):
+        """A pool that cannot start (None) or breaks after a row: the units
+        it did not finish run in this process."""
+        cfg = dict(dataset="iris", layers=(6,), trials=1, folds=4, seed=9)
+        force_inline(monkeypatch)
+        run_cv(ExperimentConfig(out=str(tmp_path / "inline"), **cfg))
+
+        class Breaking:
+            def map(self, fn, *iterables):
+                for i, args in enumerate(zip(*iterables)):
+                    if i == rows_before_break:
+                        raise BrokenProcessPool("a worker died")
+                    yield fn(*args)
+
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        def factory(workers):
+            if rows_before_break is None:
+                raise BrokenProcessPool("cannot start")
+            return Breaking()
+
+        monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "_process_pool", factory)
+        run_cv(ExperimentConfig(out=str(tmp_path / "fallback"), **cfg))
+        assert _cv_blob(tmp_path / "fallback") == _cv_blob(tmp_path / "inline")
 
 
 class TestWriteReport:
