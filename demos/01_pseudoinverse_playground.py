@@ -12,29 +12,29 @@ Run:  python demos/01_pseudoinverse_playground.py
 
 import numpy as np
 
-from karnet import pinv, solve_least_squares, sse
+from karnet import lstsq, pinv
 
 rng = np.random.default_rng(0)
 
 print("=== square invertible system ===")
 a = rng.normal(size=(3, 3))
 b = rng.normal(size=(3, 1))
-theta = solve_least_squares(a, b)
+theta = lstsq(a, b).theta
 print("residual norm:", np.linalg.norm(a @ theta - b))
 
 print("\n=== over-determined: 20 equations, 3 unknowns ===")
 a = rng.normal(size=(20, 3))
 true_theta = np.array([[1.0], [-2.0], [0.5]])
 b = a @ true_theta + rng.normal(scale=0.1, size=(20, 1))
-theta = solve_least_squares(a, b)
+theta = lstsq(a, b).theta
 print("recovered:", theta.ravel().round(3), " true:", true_theta.ravel())
-print("SSE at solution:", sse(a, theta, b))
-print("SSE after nudging it:", sse(a, theta + 0.05, b), " (always larger)")
+print("SSE at solution:", np.sum((a @ theta - b) ** 2))
+print("SSE after nudging it:", np.sum((a @ (theta + 0.05) - b) ** 2), " (always larger)")
 
 print("\n=== under-determined: 2 equations, 5 unknowns ===")
 a = rng.normal(size=(2, 5))
 b = rng.normal(size=(2, 1))
-theta = solve_least_squares(a, b)
+theta = lstsq(a, b).theta
 print("exact fit residual:", np.linalg.norm(a @ theta - b))
 print("solution norm:", np.linalg.norm(theta))
 # every other exact solution differs by a kernel vector and is longer

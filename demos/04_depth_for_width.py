@@ -12,7 +12,7 @@ Run:  python demos/04_depth_for_width.py
 
 import numpy as np
 
-from karnet import KarConfig, NetworkSpec, scale_minmax, train_random_hidden
+from karnet import NetworkSpec, scale_minmax, train_random_hidden
 from karnet.data import iris_train_test_split, load_iris
 
 train, _ = iris_train_test_split(load_iris())
@@ -25,7 +25,7 @@ for h in (60, 75, 85, 88, 89, 90):
     sses = []
     for seed in range(5):
         spec = NetworkSpec(4, (h, h, h, h), 3, seed=seed)
-        _, rep = train_random_hidden(train.x, train.y, KarConfig(spec=spec))
+        _, rep = train_random_hidden(train.x, train.y, spec)
         sses.append(rep.train_sse_transformed)
     marker = "  <- exact below the 2-layer threshold" if h == 89 else ""
     print(f" {h:>3}| {np.median(sses):.2e}{marker}")
@@ -35,6 +35,6 @@ for h in (89, 90):
     sses = []
     for seed in range(5):
         spec = NetworkSpec(4, (h,), 3, seed=seed)
-        _, rep = train_random_hidden(train.x, train.y, KarConfig(spec=spec))
+        _, rep = train_random_hidden(train.x, train.y, spec)
         sses.append(rep.train_sse_transformed)
     print(f" {h:>3}| {np.median(sses):.2e}")

@@ -31,18 +31,10 @@ from .errors import (
     RankDeficiencyError,
 )
 from .experiments import ExperimentConfig, run_cv, run_iris_sweep, run_xor_demo
-from .gradient_descent import GdConfig, check_gradient, train_gd
-from .linalg import PinvResult, pinv, solve_least_squares, sse
-from .network import (
-    Network,
-    NetworkSpec,
-    forward,
-    load_network,
-    network_from_json,
-    network_to_json,
-    save_network,
-)
-from .training import KarConfig, TrainReport, error_rate, train_n_layer, train_random_hidden
+from .gradient_descent import check_gradient, train_gd
+from .linalg import PinvResult, lstsq, pinv
+from .network import Network, NetworkSpec, forward, load_network, save_network
+from .training import TrainReport, error_rate, train_n_layer, train_random_hidden
 
 __version__ = "0.1.0"
 
@@ -71,21 +63,16 @@ __all__ = [
     "run_cv",
     "run_iris_sweep",
     "run_xor_demo",
-    "GdConfig",
     "check_gradient",
     "train_gd",
     "PinvResult",
+    "lstsq",
     "pinv",
-    "solve_least_squares",
-    "sse",
     "Network",
     "NetworkSpec",
     "forward",
-    "network_to_json",
-    "network_from_json",
     "save_network",
     "load_network",
-    "KarConfig",
     "TrainReport",
     "error_rate",
     "train_n_layer",

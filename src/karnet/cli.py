@@ -48,18 +48,18 @@ def read_config_file(path: str) -> dict:
     """Parse a key=value config file; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -144,12 +144,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gradient_check(cfg: ExperimentConfig) -> int:
-    from .gradient_descent import GdConfig, check_gradient, initial_network
+    from .gradient_descent import check_gradient, initial_network
     from .network import NetworkSpec
 
     hidden = cfg.layers or (4,)
-    spec = NetworkSpec(input_dim=3, hidden=hidden, output_dim=2, seed=cfg.seed)
-    net = initial_network(GdConfig(spec=spec))
+    net = initial_network(NetworkSpec(input_dim=3, hidden=hidden, output_dim=2, seed=cfg.seed))
     rng = np.random.default_rng(cfg.seed)
     x = rng.uniform(0.05, 0.95, size=(6, 3))
     y = rng.uniform(0.1, 0.9, size=(6, 2))

@@ -10,7 +10,7 @@ and are reapplied to held-out data.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -78,9 +78,7 @@ class Dataset:
 class FoldPlan:
     """Fold index per sample for k-fold splitting."""
 
-    k: int
     assignments: np.ndarray
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -102,7 +100,13 @@ def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
+            raise DataError(f"cannot read {path}: {exc}", row=reader.line_num) from None
+        except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
+            raise DataError(f"cannot read {path}: not UTF-8 text ({exc})") from None
     if has_header and rows:
         rows = rows[1:]
     offset = 2 if has_header else 1
@@ -200,14 +204,14 @@ def apply_scaling(ds: Dataset, scaling, epsilon: float) -> Dataset:
     return replace(ds, x=_apply(ds.x, list(scaling), epsilon), scaling=list(scaling))
 
 
-def encode_one_vs_all(labels, q: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+def encode_one_vs_all(labels, q: int) -> np.ndarray:
     """Expand class indices to an (m, q) indicator target matrix."""
     lab = np.asarray(labels, dtype=np.intp)
     if lab.size and (lab.min() < 0 or lab.max() >= q):
         bad = int(lab.min() if lab.min() < 0 else lab.max())
         raise DataError(f"label {bad} outside [0, {q})")
-    out = np.full((lab.size, q), low, dtype=np.float64)
-    out[np.arange(lab.size), lab] = high
+    out = np.zeros((lab.size, q))
+    out[np.arange(lab.size), lab] = 1.0
     return out
 
 
@@ -233,7 +237,7 @@ def stratified_folds(labels, k: int, seed: int) -> FoldPlan:
         for i, sample in enumerate(idx):
             assignments[sample] = (offset + i) % k
         offset = (offset + len(idx)) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(assignments)
 
 
 def make_xor(perturbed: bool = True) -> Dataset:

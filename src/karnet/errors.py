@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the one range check
-the config objects apply to numeric options.
+that the run config and the trainers apply to numeric options.
 
 The CLI maps these onto exit codes: configuration problems exit 2,
 data/parse problems exit 3, numerical failures exit 4.

@@ -31,9 +31,9 @@ from .data import (
     stratified_folds,
 )
 from .errors import ConfigError, DataError, NumericalError, check_finite
-from .gradient_descent import GdConfig, train_gd
+from .gradient_descent import train_gd
 from .network import Network, NetworkSpec, forward
-from .training import KarConfig, error_rate, train_n_layer, train_random_hidden
+from .training import error_rate, train_n_layer, train_random_hidden
 
 __all__ = [
     "PAPER_GRID",
@@ -119,12 +119,10 @@ def _train_once(
     )
     trainer = trainer or cfg.trainer
     if trainer == "gd":
-        return train_gd(x, y, GdConfig(
-            spec=spec, learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
-            gradient_clip=cfg.gradient_clip,
-        ))
+        return train_gd(x, y, spec, learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
+                        gradient_clip=cfg.gradient_clip)
     fit = train_random_hidden if trainer == "representation" else train_n_layer
-    return fit(x, y, KarConfig(spec=spec, rcond=cfg.rcond))
+    return fit(x, y, spec, rcond=cfg.rcond)
 
 
 def _scaled(train: Dataset, test: Dataset, eps: float) -> tuple[Dataset, Dataset]:
@@ -440,7 +438,7 @@ def _train_preprocessing(sidecar: Path) -> dict:
     try:
         with open(sidecar, "r", encoding="utf-8") as fh:
             pre = json.load(fh).get("preprocessing") or {}
-    except (OSError, ValueError, AttributeError) as exc:
+    except (OSError, ValueError, AttributeError, RecursionError) as exc:
         raise DataError(f"cannot read train report {sidecar}: {exc}") from None
     if not isinstance(pre, dict):
         raise DataError(f"train report {sidecar}: preprocessing is not an object")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,34 +21,10 @@ from .errors import ConfigError, NumericalError, check_finite
 from .network import Network, NetworkSpec, forward
 from .training import TrainReport, _check_spec, _finish_report
 
-__all__ = [
-    "GdConfig",
-    "initial_network",
-    "train_gd",
-    "GradientCheck",
-    "check_gradient",
-    "sse_and_gradients",
-]
+__all__ = ["initial_network", "train_gd", "GradientCheck", "check_gradient"]
 
 
-@dataclass(frozen=True)
-class GdConfig:
-    """Gradient-descent settings; learning_rate finite and >= 0, max_iters
-    >= 1 and a gradient_clip, when set, finite and > 0."""
-
-    spec: NetworkSpec
-    learning_rate: float = 0.01
-    max_iters: int = 500
-    gradient_clip: float | None = None
-
-    def __post_init__(self):
-        check_finite("learning_rate", self.learning_rate, positive=False)
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        check_finite("gradient_clip", self.gradient_clip, positive=True)
-
-
-def initial_network(cfg: GdConfig) -> Network:
+def initial_network(spec: NetworkSpec) -> Network:
     """Starting point for descent: signed random directions centered so
     pre-activations land near mid-domain.
 
@@ -60,10 +35,10 @@ def initial_network(cfg: GdConfig) -> Network:
     with its bias weight placed so the pre-activation of a mid-domain
     input sits at the domain center.
     """
-    rng = np.random.default_rng(cfg.spec.seed)
+    rng = np.random.default_rng(spec.seed)
     mid = 0.5  # the centre of logit's domain (0, 1)
     weights = []
-    for k, (rows, cols) in enumerate(cfg.spec.weight_shapes):
+    for k, (rows, cols) in enumerate(spec.weight_shapes):
         scale = 0.5 / np.sqrt(rows - 1)
         node = rng.uniform(-1.0, 1.0, size=(rows - 1, cols)) * scale
         # layer 1 sees domain-centered features; later layers see roughly
@@ -71,7 +46,7 @@ def initial_network(cfg: GdConfig) -> Network:
         in_mid = mid if k == 0 else 0.0
         bias = mid - in_mid * node.sum(axis=0)
         weights.append(np.vstack([bias, node]))
-    return Network(spec=cfg.spec, weights=weights)
+    return Network(spec=spec, weights=weights)
 
 
 def _sse_and_gradients(net: Network, xm: np.ndarray, ym: np.ndarray, cache: list, scratch: list):
@@ -101,34 +76,36 @@ def _sse_and_gradients(net: Network, xm: np.ndarray, ym: np.ndarray, cache: list
     return loss, grads
 
 
-def sse_and_gradients(net: Network, x, y):
-    """Output-space SSE and its gradient with respect to every weight; ``x``
-    and ``y`` must fit ``net.spec`` as for ``train_gd``."""
-    xm, ym = _check_spec(net.spec, x, y)
-    return _sse_and_gradients(net, xm, ym, [], [])
-
-
-def train_gd(x, y, cfg: GdConfig) -> tuple[Network, TrainReport]:
-    """Full-batch descent on output-space SSE for ``max_iters`` steps; the
-    forward cache and backprop buffers are allocated once per fit."""
+def train_gd(
+    x, y, spec: NetworkSpec, *, learning_rate: float = 0.01, max_iters: int = 500,
+    gradient_clip: float | None = None,
+) -> tuple[Network, TrainReport]:
+    """Full-batch descent on output-space SSE for ``max_iters`` (>= 1) steps
+    of size ``learning_rate`` (finite and >= 0), the gradient's global norm
+    clipped to ``gradient_clip`` (finite and > 0) when set; the forward
+    cache and backprop buffers are allocated once per fit."""
     t0 = time.perf_counter()
-    xm, ym = _check_spec(cfg.spec, x, y)
-    net = initial_network(cfg)
+    check_finite("learning_rate", learning_rate, positive=False)
+    if max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
+    check_finite("gradient_clip", gradient_clip, positive=True)
+    xm, ym = _check_spec(spec, x, y)
+    net = initial_network(spec)
     cache, scratch = [], []
-    for it in range(cfg.max_iters):
+    for it in range(max_iters):
         loss, grads = _sse_and_gradients(net, xm, ym, cache, scratch)
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at iteration {it}")
-        if cfg.gradient_clip is not None:
+        if gradient_clip is not None:
             gnorm = np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
-            if gnorm > cfg.gradient_clip:
-                grads = [g * (cfg.gradient_clip / gnorm) for g in grads]
+            if gnorm > gradient_clip:
+                grads = [g * (gradient_clip / gnorm) for g in grads]
         for w, g in zip(net.weights, grads):
-            w -= np.multiply(cfg.learning_rate, g, out=g)
+            w -= np.multiply(learning_rate, g, out=g)
     forward(net, xm, cache)
     return net, _finish_report(
         net, cache[-2], apply_sigmoid(ym), ym, t0, trainer="gd",
-        iterations=cfg.max_iters, init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
+        iterations=max_iters, init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
     )
 
 
@@ -141,8 +118,9 @@ class GradientCheck(NamedTuple):
     compared: int
 
 
-def check_gradient(net: Network, x, y, step: float = 1e-5) -> GradientCheck:
-    """Compare backprop with central finite differences, entry by entry.
+def check_gradient(net: Network, x, y) -> GradientCheck:
+    """Compare backprop with central finite differences (step 1e-5), entry
+    by entry.
 
     Intended for small networks; refuses more than 200 total weights.
     """
@@ -150,15 +128,16 @@ def check_gradient(net: Network, x, y, step: float = 1e-5) -> GradientCheck:
     if total > 200:
         raise ConfigError(f"gradient check limited to 200 weights, got {total}")
     xm, ym = _check_spec(net.spec, x, y)
-    _, grads = sse_and_gradients(net, xm, ym)
+    _, grads = _sse_and_gradients(net, xm, ym, [], [])
+    step = 1e-5
     worst = 0.0
     for w, g in zip(net.weights, grads):
         for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + step
-            up = sse_and_gradients(net, xm, ym)[0]
+            up = _sse_and_gradients(net, xm, ym, [], [])[0]
             w[idx] = orig - step
-            dn = sse_and_gradients(net, xm, ym)[0]
+            dn = _sse_and_gradients(net, xm, ym, [], [])[0]
             w[idx] = orig
             numeric = (up - dn) / (2.0 * step)
             worst = max(worst, abs(numeric - g[idx]) / max(abs(numeric), abs(g[idx]), 1e-8))

@@ -21,9 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, RankDeficiencyError, check_finite
 
-__all__ = [
-    "LstsqResult", "PinvResult", "as_matrix", "lstsq", "pinv", "solve_least_squares", "sse",
-]
+__all__ = ["LstsqResult", "PinvResult", "as_matrix", "lstsq", "pinv"]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -129,46 +127,6 @@ def lstsq(a, b, rcond: float | None = None) -> LstsqResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge for shape {am.shape}") from exc
     return LstsqResult(theta=theta, rank=int(rank))
-
-
-def solve_least_squares(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``a @ theta = b``.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides; solving
-    column-by-column and solving the matrix equation in one call agree.
-    """
-    bm = np.asarray(b, dtype=np.float64)
-    squeeze = bm.ndim == 1
-    theta = lstsq(a, bm[:, None] if squeeze else bm).theta
-    return theta[:, 0] if squeeze else theta
-
-
-def sse(a, theta, b) -> float:
-    """Sum of squared errors ``trace((A T - B)^T (A T - B))``.
-
-    Computed as a direct elementwise sum of squared residuals; the Gram
-    product is never formed.
-    """
-    am = as_matrix(a, "a")
-    tm = np.asarray(theta, dtype=np.float64)
-    if tm.ndim == 0:
-        tm = tm.reshape(1, 1)
-    elif tm.ndim == 1:
-        tm = tm[:, None]
-    bm = np.asarray(b, dtype=np.float64)
-    if bm.ndim == 1:
-        bm = bm[:, None]
-    if am.shape[1] != tm.shape[0]:
-        raise DimensionError(
-            f"inner mismatch: a has {am.shape[1]} cols, theta has {tm.shape[0]} rows"
-        )
-    if am.shape[0] != bm.shape[0] or tm.shape[1] != bm.shape[1]:
-        raise DimensionError(
-            f"result mismatch: a@theta is {am.shape[0]}x{tm.shape[1]}, "
-            f"b is {bm.shape[0]}x{bm.shape[1]}"
-        )
-    r = am @ tm - bm
-    return float(np.sum(r * r))
 
 
 def require_rank(result, what: str):

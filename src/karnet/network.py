@@ -28,8 +28,6 @@ __all__ = [
     "Network",
     "add_bias_column",
     "forward",
-    "network_to_json",
-    "network_from_json",
     "save_network",
     "load_network",
 ]
@@ -144,10 +142,10 @@ def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
     return g
 
 
-def network_to_json(net: Network) -> str:
-    """Serialize to compact strict JSON with sorted keys, each weight in the
+def save_network(net: Network, path) -> None:
+    """Write compact strict JSON with sorted keys, each weight in the
     shortest digits that read back to the same double.  A NaN or infinite
-    weight is a NumericalError."""
+    weight is a NumericalError, and no file is written."""
     if not all(np.isfinite(w).all() for w in net.weights):
         raise NumericalError("weights hold a non-finite value; no weights file is written")
     payload = {
@@ -157,31 +155,26 @@ def network_to_json(net: Network) -> str:
             for w in net.weights
         ],
     }
-    return orjson.dumps(payload, option=orjson.OPT_SORT_KEYS).decode("utf-8")
-
-
-def network_from_json(s: str) -> Network:
-    payload = json.loads(s)
-    spec = NetworkSpec.from_dict(payload["spec"])
-    weights = [
-        np.asarray(w["data"], dtype=np.float64).reshape(w["rows"], w["cols"])
-        for w in payload["weights"]
-    ]
-    return Network(spec=spec, weights=weights)
-
-
-def save_network(net: Network, path) -> None:
-    text = network_to_json(net)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    data = orjson.dumps(payload, option=orjson.OPT_SORT_KEYS)
+    del payload  # the float lists go before the write
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load_network(path) -> Network:
-    """Read a weights file; an unreadable or malformed one is a DataError."""
+    """Read a weights file; an unreadable or malformed one (nested too deep
+    for the JSON reader among them) is a DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            net = network_from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, KarnetError) as exc:
+            payload = json.load(fh)
+        net = Network(
+            spec=NetworkSpec.from_dict(payload["spec"]),
+            weights=[
+                np.asarray(w["data"], dtype=np.float64).reshape(w["rows"], w["cols"])
+                for w in payload["weights"]
+            ],
+        )
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, KarnetError) as exc:
         raise DataError(f"cannot load weights file {path}: {exc!r}") from None
     if not all(np.all(np.isfinite(w)) for w in net.weights):
         raise DataError(f"weights file {path} holds non-finite weights")

@@ -42,27 +42,11 @@ from .linalg import as_matrix, lstsq, require_rank
 from .network import Network, NetworkSpec, add_bias_column
 
 __all__ = [
-    "KarConfig",
     "TrainReport",
     "error_rate",
     "train_n_layer",
     "train_random_hidden",
 ]
-
-@dataclass(frozen=True)
-class KarConfig:
-    """Configuration for the analytic trainers.
-
-    The spec's seed draws the random layers; ``rcond`` (finite and >= 0)
-    overrides the singular-value cutoff of every solve.
-    """
-
-    spec: NetworkSpec
-    rcond: float | None = None
-
-    def __post_init__(self):
-        check_finite("rcond", self.rcond, positive=False)
-
 
 @dataclass
 class TrainReport:
@@ -168,18 +152,22 @@ def _finish_report(
     )
 
 
-def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
+def train_n_layer(
+    x, y, spec: NetworkSpec, *, rcond: float | None = None
+) -> tuple[Network, TrainReport]:
     """Single-pass analytic trainer for n >= 1 layers; with n = 1 there is
-    no random layer and the peeling chain is empty."""
+    no random layer and the peeling chain is empty.  The spec's seed draws
+    the random layers; ``rcond`` (finite and >= 0) overrides the
+    singular-value cutoff of every solve."""
     t0 = time.perf_counter()
-    xm, ym = _check_spec(cfg.spec, x, y)
-    spec = cfg.spec
+    check_finite("rcond", rcond, positive=False)
+    xm, ym = _check_spec(spec, x, y)
     n = spec.n_layers
     rng = np.random.default_rng(spec.seed)
     shapes = spec.weight_shapes
 
     # a cutoff rcond >= 1 keeps none of a random node block's unit singular values
-    if n > 1 and cfg.rcond is not None and cfg.rcond >= 1.0:
+    if n > 1 and rcond is not None and rcond >= 1.0:
         raise RankDeficiencyError(
             f"random node block of layer {n} is numerically rank-deficient (rank 0)"
         )
@@ -200,7 +188,7 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     # each against its peeled target with the layers behind it still random;
     # solved targets, pre-activations and old activations go once used
     a = add_bias_column(xm)
-    weights[0] = _solve(a, peeled[1], cfg.rcond, "input matrix")
+    weights[0] = _solve(a, peeled[1], rcond, "input matrix")
     for k in range(2, n + 1):
         peeled[k - 1] = None
         z = _finite_or_raise(a @ weights[k - 2], k - 1, "pre-activation")
@@ -208,7 +196,7 @@ def train_n_layer(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
         a = add_bias_column(apply_logit(z))
         del z
         weights[k - 1] = _solve(
-            a, peeled[k], cfg.rcond, f"activation matrix of layer {k}"
+            a, peeled[k], rcond, f"activation matrix of layer {k}"
         )
 
     net = Network(spec=spec, weights=list(weights))
@@ -246,7 +234,9 @@ def _centered_ridge(
     return np.vstack([bias, node])
 
 
-def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
+def train_random_hidden(
+    x, y, spec: NetworkSpec, *, rcond: float | None = None
+) -> tuple[Network, TrainReport]:
     """Representation-mode trainer: hidden layers stay random, only the
     output layer is solved.
 
@@ -255,11 +245,12 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
     re-center on the incoming activation statistics.  For a two-layer
     network the output bias weight is pinned at zero, so the number of
     solved weights per output column equals the hidden size exactly; deeper
-    networks solve the full output layer including its bias row.
+    networks solve the full output layer including its bias row.  ``rcond``
+    is the output solve's cutoff, as for ``train_n_layer``.
     """
     t0 = time.perf_counter()
-    xm, ym = _check_spec(cfg.spec, x, y)
-    spec = cfg.spec
+    check_finite("rcond", rcond, positive=False)
+    xm, ym = _check_spec(spec, x, y)
     if spec.n_layers < 2:
         raise ConfigError("train_random_hidden requires at least one hidden layer")
     rng = np.random.default_rng(spec.seed)
@@ -279,10 +270,10 @@ def train_random_hidden(x, y, cfg: KarConfig) -> tuple[Network, TrainReport]:
 
     target = apply_sigmoid(ym)
     if spec.n_layers == 2:
-        node = _solve(a[:, 1:], target, cfg.rcond, "hidden activation matrix")
+        node = _solve(a[:, 1:], target, rcond, "hidden activation matrix")
         w_out = np.vstack([np.zeros((1, spec.output_dim)), node])
     else:
-        w_out = _solve(a, target, cfg.rcond, "hidden activation matrix")
+        w_out = _solve(a, target, rcond, "hidden activation matrix")
     weights.append(w_out)
 
     net = Network(spec=spec, weights=weights)

@@ -19,16 +19,14 @@ import pytest
 
 from karnet import (
     ExperimentConfig,
-    GdConfig,
-    KarConfig,
     NetworkSpec,
     check_gradient,
     error_rate,
     forward,
+    lstsq,
     make_xor,
     pinv,
     scale_minmax,
-    solve_least_squares,
     train_gd,
     train_n_layer,
     train_random_hidden,
@@ -89,7 +87,7 @@ def test_criterion_2_oracle_equivalence():
         a = random_matrix(rng, m, d)
         b = rng.normal(size=(m, 2))
         want = np.linalg.solve(a.T @ a, a.T @ b)
-        got = solve_least_squares(a, b)
+        got = lstsq(a, b).theta
         worst = max(worst, np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
     for _ in range(50):
         d = int(rng.integers(6, 30))
@@ -97,7 +95,7 @@ def test_criterion_2_oracle_equivalence():
         a = random_matrix(rng, m, d)
         b = rng.normal(size=(m, 2))
         want = a.T @ np.linalg.solve(a @ a.T, b)
-        got = solve_least_squares(a, b)
+        got = lstsq(a, b).theta
         worst = max(worst, np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
     ok = worst <= 1e-8
     report("2 oracle-equivalence", ok, f"worst rel err {worst:.2e}")
@@ -114,7 +112,7 @@ def test_criterion_3_minimum_norm():
         m = int(rng.integers(2, d))
         a = random_matrix(rng, m, d)
         b = rng.normal(size=(m, 1))
-        theta = solve_least_squares(a, b)
+        theta = lstsq(a, b).theta
         null_proj = np.eye(d) - pinv(a).pinv @ a
         base = np.linalg.norm(theta)
         for _ in range(10):
@@ -139,7 +137,7 @@ def test_criterion_4_xor_reproduction():
         ok = 0
         for seed in range(10):
             spec = NetworkSpec(2, hidden, 1, seed=seed)
-            net, _ = fn(ds.x, ds.y, KarConfig(spec=spec))
+            net, _ = fn(ds.x, ds.y, spec)
             err = float(np.max(np.abs(forward(net, ds.x) - ds.y)))
             ok += err < 1e-3
         passes[name] = ok
@@ -167,9 +165,9 @@ def test_criterion_5_representation():
         y = rng.uniform(0.1, 0.9, size=(m, q))
         s1 = int(rng.integers(2**31))
         s2 = int(rng.integers(2**31))
-        _, rep = train_random_hidden(x, y, KarConfig(spec=NetworkSpec(d, (m,), q, seed=s1)))
+        _, rep = train_random_hidden(x, y, NetworkSpec(d, (m,), q, seed=s1))
         worst_at_m = max(worst_at_m, rep.train_sse_transformed)
-        _, rep1 = train_random_hidden(x, y, KarConfig(spec=NetworkSpec(d, (m - 1,), q, seed=s2)))
+        _, rep1 = train_random_hidden(x, y, NetworkSpec(d, (m - 1,), q, seed=s2))
         sse_below.append(rep1.train_sse_transformed)
     median_below = float(np.median(sse_below))
     elapsed = time.perf_counter() - t0
@@ -244,7 +242,7 @@ def test_criterion_6b_iris_sweep_test_error_envelope(iris_sweep_result):
     for trial in range(rep["trials"]):
         spec = NetworkSpec(train.n_features, (h,), train.class_count,
                            seed=_unit_seed(rep["seed"], h, trial))
-        net, _ = train_n_layer(train.x, train.y, KarConfig(spec=spec))
+        net, _ = train_n_layer(train.x, train.y, spec)
         errs.append(error_rate(forward(net, test.x), test.y))
     test_err = float(np.mean(errs))
 
@@ -278,7 +276,7 @@ def test_criterion_7_gradient_check():
         hidden = tuple(int(h) for h in rng.integers(2, 6, size=int(rng.integers(1, 3))))
         m = int(rng.integers(2, 10))
         spec = NetworkSpec(d, hidden, q, seed=trial)
-        net = initial_network(GdConfig(spec=spec))
+        net = initial_network(spec)
         x = rng.uniform(0.05, 0.95, size=(m, d))
         y = rng.uniform(0.1, 0.9, size=(m, q))
         check = check_gradient(net, x, y)
@@ -305,10 +303,10 @@ def test_criterion_8_speed_comparison():
         train = scale_minmax(train, 0.01)
         spec = NetworkSpec(4, (90,), 3, seed=fold)
         t0 = time.perf_counter()
-        train_n_layer(train.x, train.y, KarConfig(spec=spec))
+        train_n_layer(train.x, train.y, spec)
         kar_total += time.perf_counter() - t0
         t0 = time.perf_counter()
-        train_gd(train.x, train.y, GdConfig(spec=spec, learning_rate=1e-4, max_iters=500))
+        train_gd(train.x, train.y, spec, learning_rate=1e-4, max_iters=500)
         gd_total += time.perf_counter() - t0
     ok = kar_total < gd_total
     report(

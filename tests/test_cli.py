@@ -297,6 +297,44 @@ class TestFailureContract:
         if content is _TANH_WEIGHTS:
             assert "unknown activation pair 'tanh'" in err
 
+    @pytest.mark.parametrize(
+        "content, where",
+        [(b"0.1,0.2,a\n0.3,\xff\xfe,b\n", "UTF-8"),
+         (b"0.1,0.2,a\n0.3," + b"4" * 131_073 + b",b\n", "row 2")],
+        ids=["not-utf8", "cell-past-field-limit"],
+    )
+    def test_unreadable_csv_is_data_error(self, tmp_path, capsys, content, where):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        code = run_cli("train", "--data", str(data), "--layers", "2", "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "Traceback" not in err and str(data) in err and where in err
+
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"layers = \xff\n")
+        code = run_cli("train", "--config", str(cfg), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err and str(cfg) in err
+
+    @pytest.mark.parametrize("name", ["weights.json", "report.json"])
+    def test_deeply_nested_json_is_data_error(self, tmp_path, capsys, name):
+        """An array nested 200,000 deep, as the weights file or inside the
+        train report beside it, goes past the JSON reader's recursion limit."""
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", "iris", "--layers", "5", "--out", str(out)) == EXIT_OK
+        deep = "[" * 200_000 + "]" * 200_000
+        (out / name).write_text(deep if name == "weights.json" else f'{{"preprocessing": {deep}}}')
+        capsys.readouterr()
+        code = run_cli("eval", "--data", "iris", "--weights", str(out / "weights.json"),
+                       "--out", str(tmp_path / "eval"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "Traceback" not in err and str(out / name) in err
+        assert not (tmp_path / "eval" / "eval_report.json").exists()
+
     def test_uncreatable_out_is_config_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

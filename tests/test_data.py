@@ -148,10 +148,6 @@ class TestOneVsAll:
             encode_one_vs_all([1, 1], 2), [[0.0, 1.0], [0.0, 1.0]]
         )
 
-    def test_custom_levels(self):
-        out = encode_one_vs_all([0, 1], 2, low=0.1, high=0.9)
-        np.testing.assert_allclose(out, [[0.9, 0.1], [0.1, 0.9]])
-
     def test_argmax_roundtrip(self):
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 4, size=30)

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karnet import DimensionError, NumericalError, pinv, solve_least_squares, sse
-from karnet.linalg import lstsq
+from karnet import DimensionError, NumericalError, lstsq, pinv
 
 EPS = np.finfo(np.float64).eps
 
@@ -95,13 +94,13 @@ class TestSolveLeastSquares:
     def test_identity_returns_rhs(self):
         rng = np.random.default_rng(0)
         b = rng.normal(size=(3, 1))
-        np.testing.assert_allclose(solve_least_squares(np.eye(3), b), b)
+        np.testing.assert_allclose(lstsq(np.eye(3), b).theta, b)
 
     def test_overdetermined_scalar(self):
         a = np.array([[1.0], [1.0]])
         b = np.array([[0.0], [2.0]])
         expected = primal_oracle(a, b)
-        got = solve_least_squares(a, b)
+        got = lstsq(a, b).theta
         np.testing.assert_allclose(got, expected)
         np.testing.assert_allclose(got, [[1.0]])
 
@@ -109,13 +108,13 @@ class TestSolveLeastSquares:
         a = np.array([[1.0, 1.0]])
         b = np.array([[2.0]])
         expected = dual_oracle(a, b)
-        got = solve_least_squares(a, b)
+        got = lstsq(a, b).theta
         np.testing.assert_allclose(got, expected)
         np.testing.assert_allclose(got, [[1.0], [1.0]])
 
     def test_row_mismatch(self):
         with pytest.raises(DimensionError):
-            solve_least_squares(np.eye(3), np.ones((2, 1)))
+            lstsq(np.eye(3), np.ones((2, 1)))
 
     def test_primal_agreement_overdetermined(self):
         rng = np.random.default_rng(1)
@@ -124,7 +123,7 @@ class TestSolveLeastSquares:
             d = int(rng.integers(2, m))
             a = random_matrix(rng, m, d)
             b = rng.normal(size=(m, 2))
-            got = solve_least_squares(a, b)
+            got = lstsq(a, b).theta
             want = primal_oracle(a, b)
             assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1.0)
 
@@ -135,7 +134,7 @@ class TestSolveLeastSquares:
             m = int(rng.integers(2, d))
             a = random_matrix(rng, m, d)
             b = rng.normal(size=(m, 2))
-            got = solve_least_squares(a, b)
+            got = lstsq(a, b).theta
             want = dual_oracle(a, b)
             assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1.0)
 
@@ -147,7 +146,7 @@ class TestSolveLeastSquares:
             m = int(rng.integers(2, d))
             a = random_matrix(rng, m, d)
             b = rng.normal(size=(m, 1))
-            theta = solve_least_squares(a, b)
+            theta = lstsq(a, b).theta
             null_proj = np.eye(d) - pinv(a).pinv @ a
             for _ in range(10):
                 k = null_proj @ rng.normal(size=(d, 1))
@@ -160,11 +159,11 @@ class TestSolveLeastSquares:
             d = int(rng.integers(2, m))
             a = random_matrix(rng, m, d)
             b = rng.normal(size=(m, 1))
-            theta = solve_least_squares(a, b)
-            base = sse(a, theta, b)
+            theta = lstsq(a, b).theta
+            base = np.sum((a @ theta - b) ** 2)
             for _ in range(10):
                 delta = rng.normal(scale=0.1, size=theta.shape)
-                assert base <= sse(a, theta + delta, b) + 1e-10
+                assert base <= np.sum((a @ (theta + delta) - b) ** 2) + 1e-10
 
     def test_multi_output_column_decomposition(self):
         rng = np.random.default_rng(5)
@@ -174,9 +173,9 @@ class TestSolveLeastSquares:
             q = int(rng.integers(2, 5))
             a = random_matrix(rng, m, d)
             b = rng.normal(size=(m, q))
-            whole = solve_least_squares(a, b)
+            whole = lstsq(a, b).theta
             cols = np.column_stack(
-                [solve_least_squares(a, b[:, j : j + 1])[:, 0] for j in range(q)]
+                [lstsq(a, b[:, j : j + 1]).theta[:, 0] for j in range(q)]
             )
             np.testing.assert_allclose(whole, cols, atol=1e-10)
 
@@ -263,24 +262,3 @@ class TestLstsqRoutes:
         assert np.linalg.norm(x @ a @ x - x) <= 1e-8 * max(np.linalg.norm(x), 1e-300)
         assert np.linalg.norm(ax - ax.T) <= 1e-8 * max(np.linalg.norm(ax), 1e-300)
         assert np.linalg.norm(xa - xa.T) <= 1e-8 * max(np.linalg.norm(xa), 1e-300)
-
-
-class TestSse:
-    def test_exact_fit_zero(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        theta = np.array([[1.0], [1.0]])
-        assert sse(a, theta, a @ theta) == 0.0
-
-    def test_zero_weights_against_identity(self):
-        assert sse(np.eye(2), np.zeros((2, 2)), np.eye(2)) == 2.0
-
-    def test_scalar_residual(self):
-        a = np.array([[1.0], [1.0]])
-        b = np.array([[0.0], [2.0]])
-        assert sse(a, np.array([[1.0]]), b) == pytest.approx(2.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            sse(np.eye(2), np.ones((3, 1)), np.ones((2, 1)))
-        with pytest.raises(DimensionError):
-            sse(np.eye(2), np.ones((2, 1)), np.ones((3, 1)))

@@ -1,0 +1,63 @@
+"""The package's public surface: exported names resolve, the README's
+library quick start runs as written, and no module imports a name it
+never uses."""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import karnet
+
+SRC = Path(karnet.__file__).parent
+MODULES = sorted(m.name for m in pkgutil.iter_modules(karnet.__path__))
+
+
+@pytest.mark.parametrize("module", ["karnet", *(f"karnet.{m}" for m in MODULES)])
+def test_every_name_in_all_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names {missing}, which it does not define"
+
+
+def test_star_import():
+    namespace = {}
+    exec("from karnet import *", namespace)
+    assert set(karnet.__all__) <= set(namespace)
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start \(library\)\s*```python\n(.*?)```", readme, re.DOTALL)
+    assert block, "README has no python block under 'Quick start (library)'"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; a name listed in its
+    ``__all__`` (a re-export) counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_unused_imports(name):
+    assert _unused_imports(SRC / name) == []

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karnet import (
-    GdConfig,
-    KarConfig,
     NetworkSpec,
     apply_sigmoid,
     error_rate,
@@ -45,7 +43,7 @@ class TestSingleLayer:
         rng = np.random.default_rng(0)
         x = rng.uniform(0.05, 0.95, size=(4, 3))
         y = rng.uniform(0.1, 0.9, size=(4, 2))
-        net, rep = train_n_layer(x, y, KarConfig(spec=spec_for(x, y, ())))
+        net, rep = train_n_layer(x, y, spec_for(x, y, ()))
         np.testing.assert_allclose(forward(net, x), y, atol=1e-6)
         assert rep.solve_count == 1
         assert rep.peel_chains == 0
@@ -54,7 +52,7 @@ class TestSingleLayer:
         rng = np.random.default_rng(1)
         x = rng.uniform(0.05, 0.95, size=(10, 3))
         y = np.full((10, 1), 0.37)
-        net, _ = train_n_layer(x, y, KarConfig(spec=spec_for(x, y, ())))
+        net, _ = train_n_layer(x, y, spec_for(x, y, ()))
         np.testing.assert_allclose(forward(net, x), y, atol=1e-6)
 
     def test_overdetermined_optimality(self):
@@ -63,8 +61,8 @@ class TestSingleLayer:
         rng = np.random.default_rng(2)
         x = rng.uniform(0.05, 0.95, size=(30, 3))
         y = rng.uniform(0.1, 0.9, size=(30, 1))
-        cfg = KarConfig(spec=spec_for(x, y, ()))
-        net, rep = train_n_layer(x, y, cfg)
+        spec = spec_for(x, y, ())
+        net, rep = train_n_layer(x, y, spec)
         base = phi_space_sse(net, x, y)
         w = net.weights[0]
         for _ in range(100):
@@ -76,8 +74,8 @@ class TestSingleLayer:
 class TestTwoLayer:
     def test_perturbed_xor(self):
         ds = make_xor(perturbed=True)
-        cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,), seed=0))
-        net, rep = train_n_layer(ds.x, ds.y, cfg)
+        spec = spec_for(ds.x, ds.y, (2,), seed=0)
+        net, rep = train_n_layer(ds.x, ds.y, spec)
         np.testing.assert_allclose(
             forward(net, ds.x), [[0.0], [0.0], [1.0], [1.0]], atol=1e-3
         )
@@ -93,14 +91,14 @@ class TestTwoLayer:
         from karnet.network import add_bias_column
 
         ds = make_xor(perturbed=True)
-        cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,), seed=3))
+        spec = spec_for(ds.x, ds.y, (2,), seed=3)
         w2 = _orthonormal_layer(np.random.default_rng(3), (3, 1))
         b2 = apply_sigmoid(ds.y)
         b1 = apply_sigmoid((b2 - w2[0, :]) @ w2[1:, :].T)
         x1 = add_bias_column(ds.x)
         w1 = lstsq(x1, b1).theta
         w2 = lstsq(add_bias_column(apply_logit(x1 @ w1)), b2).theta
-        net, _ = train_n_layer(ds.x, ds.y, cfg)
+        net, _ = train_n_layer(ds.x, ds.y, spec)
         np.testing.assert_array_equal(net.weights[0], w1)
         np.testing.assert_array_equal(net.weights[1], w2)
 
@@ -129,15 +127,15 @@ class TestNLayer:
         monkeypatch.setattr(karnet.linalg, "pinv", counting_pinv)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         ds = scale_minmax(load_iris(), 0.01)
-        net, _ = train_n_layer(ds.x, ds.y, KarConfig(spec=spec_for(ds.x, ds.y, (20,), seed=0)))
+        net, _ = train_n_layer(ds.x, ds.y, spec_for(ds.x, ds.y, (20,), seed=0))
         assert shapes == [(150, 5)]
         assert svd_shapes == [(150, 5)]
         assert net.weights[1].shape == (21, 3)
 
     def test_five_layer_xor(self):
         ds = make_xor(perturbed=True)
-        cfg = KarConfig(spec=spec_for(ds.x, ds.y, (3, 3, 3, 3), seed=0))
-        net, rep = train_n_layer(ds.x, ds.y, cfg)
+        spec = spec_for(ds.x, ds.y, (3, 3, 3, 3), seed=0)
+        net, rep = train_n_layer(ds.x, ds.y, spec)
         np.testing.assert_allclose(
             forward(net, ds.x), [[0.0], [0.0], [1.0], [1.0]], atol=1e-3
         )
@@ -150,8 +148,8 @@ class TestNLayer:
         x = rng.uniform(0.05, 0.95, size=(12, 3))
         y = rng.uniform(0.1, 0.9, size=(12, 2))
         for hidden in [(4,), (4, 3), (4, 3, 2)]:
-            cfg = KarConfig(spec=spec_for(x, y, hidden, seed=1))
-            _, rep = train_n_layer(x, y, cfg)
+            spec = spec_for(x, y, hidden, seed=1)
+            _, rep = train_n_layer(x, y, spec)
             assert rep.solve_count == len(hidden) + 1
             assert rep.peel_chains == 1
 
@@ -159,9 +157,9 @@ class TestNLayer:
         rng = np.random.default_rng(5)
         x = rng.uniform(0.05, 0.95, size=(10, 2))
         y = rng.uniform(0.1, 0.9, size=(10, 1))
-        cfg = KarConfig(spec=spec_for(x, y, (3, 3), seed=7))
-        _, rep_a = train_n_layer(x, y, cfg)
-        _, rep_b = train_n_layer(x, y, cfg)
+        spec = spec_for(x, y, (3, 3), seed=7)
+        _, rep_a = train_n_layer(x, y, spec)
+        _, rep_b = train_n_layer(x, y, spec)
         da, db = rep_a.to_dict(), rep_b.to_dict()
         da.pop("wall_time"), db.pop("wall_time")
         assert da == db
@@ -171,8 +169,8 @@ class TestNLayer:
         rng = np.random.default_rng(6)
         x = rng.uniform(0.05, 0.95, size=(15, 3))
         y = rng.uniform(0.1, 0.9, size=(15, 2))
-        cfg = KarConfig(spec=spec_for(x, y, (5,), seed=2))
-        net, _ = train_n_layer(x, y, cfg)
+        spec = spec_for(x, y, (5,), seed=2)
+        net, _ = train_n_layer(x, y, spec)
         base = phi_space_sse(net, x, y)
         w_out = net.weights[-1]
         for _ in range(100):
@@ -182,7 +180,7 @@ class TestNLayer:
 
     def test_no_hidden_layer_is_one_solve_and_no_chain(self):
         ds = make_xor()
-        _, rep = train_n_layer(ds.x, ds.y, KarConfig(spec=spec_for(ds.x, ds.y, ())))
+        _, rep = train_n_layer(ds.x, ds.y, spec_for(ds.x, ds.y, ()))
         assert rep.solve_count == 1
         assert rep.peel_chains == 0
         assert rep.init_style == "n/a"
@@ -199,8 +197,8 @@ class TestRandomHidden:
             q = int(rng.integers(1, 4))
             x = rng.uniform(0.05, 0.95, size=(m, d))
             y = rng.uniform(0.1, 0.9, size=(m, q))
-            cfg = KarConfig(spec=spec_for(x, y, (m,), seed=trial))
-            net, rep = train_random_hidden(x, y, cfg)
+            spec = spec_for(x, y, (m,), seed=trial)
+            net, rep = train_random_hidden(x, y, spec)
             if rep.solve_count and _hidden_full_rank(net, x, m):
                 assert rep.train_sse_transformed <= 1e-6
 
@@ -208,7 +206,7 @@ class TestRandomHidden:
         rng = np.random.default_rng(8)
         x = rng.uniform(0.05, 0.95, size=(12, 3))
         y = rng.uniform(0.1, 0.9, size=(12, 2))
-        net, _ = train_random_hidden(x, y, KarConfig(spec=spec_for(x, y, (12,))))
+        net, _ = train_random_hidden(x, y, spec_for(x, y, (12,)))
         np.testing.assert_array_equal(net.weights[1][0, :], 0.0)
 
     def test_deeper_network_solves_output_bias(self):
@@ -216,7 +214,7 @@ class TestRandomHidden:
         x = rng.uniform(0.05, 0.95, size=(10, 3))
         y = rng.uniform(0.1, 0.9, size=(10, 1))
         net, rep = train_random_hidden(
-            x, y, KarConfig(spec=spec_for(x, y, (8, 8)))
+            x, y, spec_for(x, y, (8, 8))
         )
         assert rep.solve_count == 1
         assert np.any(net.weights[2][0, :] != 0.0)
@@ -234,7 +232,7 @@ class TestRandomHidden:
         sses = []
         for seed in range(3):
             spec = NetworkSpec(4, (h, h, h, h), 3, seed=seed)
-            _, rep = train_random_hidden(train.x, train.y, KarConfig(spec=spec))
+            _, rep = train_random_hidden(train.x, train.y, spec)
             sses.append(rep.train_sse_transformed)
         assert max(sses) <= 1e-6
 
@@ -259,9 +257,8 @@ class TestReportFromOwnActivations:
         from karnet import load_iris, scale_minmax
 
         ds = scale_minmax(load_iris(), 0.01)
-        config = GdConfig if trainer is train_gd else KarConfig
         for seed in range(3):
-            net, rep = trainer(ds.x, ds.y, config(spec=spec_for(ds.x, ds.y, hidden, seed=seed)))
+            net, rep = trainer(ds.x, ds.y, spec_for(ds.x, ds.y, hidden, seed=seed))
             g = forward(net, ds.x)
             assert rep.train_sse == float(np.sum((g - ds.y) ** 2))
             assert rep.train_sse_transformed == phi_space_sse(net, ds.x, ds.y)
@@ -279,13 +276,13 @@ class TestReportFromOwnActivations:
         x = rng.uniform(0.01, 0.99, size=(m, d))
         y = np.eye(q)[rng.integers(0, q, size=m)]
         for trainer, hidden in ((train_n_layer, (h,)), (train_random_hidden, (h, h))):
-            cfg = KarConfig(spec=spec_for(x, y, hidden, seed=3))
+            spec = spec_for(x, y, hidden, seed=3)
             started = not tracemalloc.is_tracing()
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                trainer(x, y, cfg)
+                trainer(x, y, spec)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 if started:
@@ -312,23 +309,24 @@ class TestErrors:
     def test_rcond_must_be_finite_and_non_negative(self, rcond):
         from karnet import ConfigError
 
-        with pytest.raises(ConfigError, match="rcond"):
-            KarConfig(spec=NetworkSpec(2, (2,), 1), rcond=rcond)
+        ds = make_xor(perturbed=True)
+        for trainer in (train_n_layer, train_random_hidden):
+            with pytest.raises(ConfigError, match="rcond"):
+                trainer(ds.x, ds.y, spec_for(ds.x, ds.y, (2,)), rcond=rcond)
 
     def test_zero_rcond_is_accepted(self):
-        KarConfig(spec=NetworkSpec(2, (2,), 1), rcond=0.0)
+        ds = make_xor(perturbed=True)
+        train_n_layer(ds.x, ds.y, spec_for(ds.x, ds.y, (2,)), rcond=0.0)
 
     def test_rcond_one_keeps_no_unit_singular_value_of_a_node_block(self):
         ds = make_xor(perturbed=True)
-        cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,)), rcond=1.0)
         with pytest.raises(RankDeficiencyError, match="random node block of layer 2"):
-            train_n_layer(ds.x, ds.y, cfg)
+            train_n_layer(ds.x, ds.y, spec_for(ds.x, ds.y, (2,)), rcond=1.0)
 
     @pytest.mark.parametrize("rcond", [0.0, 0.5])
     def test_rcond_below_one_trains_through_the_peel(self, rcond):
         ds = make_xor(perturbed=True)
-        cfg = KarConfig(spec=spec_for(ds.x, ds.y, (2,)), rcond=rcond)
-        net, rep = train_n_layer(ds.x, ds.y, cfg)
+        net, rep = train_n_layer(ds.x, ds.y, spec_for(ds.x, ds.y, (2,)), rcond=rcond)
         assert rep.peel_chains == 1
         assert np.all(np.isfinite(forward(net, ds.x)))
 
@@ -338,7 +336,7 @@ class TestErrors:
         x = np.ones((4, 2)) * 0.5
         y = np.ones((3, 1)) * 0.5
         with pytest.raises(DimensionError):
-            train_n_layer(x, y, KarConfig(spec=NetworkSpec(2, (2,), 1)))
+            train_n_layer(x, y, NetworkSpec(2, (2,), 1))
 
 
 # (fan-in p, width q): tall, wide, square, 1-wide and 1-tall node blocks
