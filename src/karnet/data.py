@@ -2,14 +2,18 @@
 
 CSV files are numeric except for one designated label column whose values
 (categorical or numeric) map to class indices in first-appearance order.
-Features are scaled per column into ``[eps, 1 - eps]`` so they live inside
-the activation domain; scaling statistics always come from training data
-and are reapplied to held-out data.
+Clean numeric text is parsed by numpy's C reader; a file that reader might
+read differently from ``csv.reader`` and ``float``, or rejects, goes through
+a per-cell loop that names the bad row and column.  Features are scaled per
+column into ``[eps, 1 - eps]`` so they live inside the activation domain;
+scaling statistics always come from training data and are reapplied to
+held-out data.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -93,20 +97,72 @@ def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
     Labels map to class indices in first-appearance order.  Ragged rows,
     non-numeric or non-finite feature cells, and empty cells raise
     DataError with the offending location (1-based, header included in the
-    numbering).
+    numbering).  The file is read once as UTF-8, a leading byte-order mark
+    dropped.
+
+    Two routes parse it, with bit-identical results.  Clean numeric text
+    goes to numpy's C reader (``_parse_fast``).  Text that reader might
+    split or convert differently from ``csv.reader`` plus ``float`` (a
+    ``"`` or a NUL anywhere, a line as long as the csv field size limit),
+    and any file it rejects or reads to a non-finite feature or an empty
+    label, goes to the per-cell loop (``_parse_cells``).  That loop is the
+    reference, and the only code that builds error messages.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            rows = list(reader)
-        except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
-            raise DataError(f"cannot read {path}: {exc}", row=reader.line_num) from None
-        except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
+            text = fh.read()
+        except UnicodeDecodeError as exc:
             raise DataError(f"cannot read {path}: not UTF-8 text ({exc})") from None
+    x, names = (_parse_fast(text, label_column, has_header)
+                or _parse_cells(text, path, label_column, has_header))
+    label_map: dict[str, int] = {}
+    lab = np.array([label_map.setdefault(n, len(label_map)) for n in names], dtype=np.intp)
+    q = len(label_map)
+    y = encode_one_vs_all(lab, q)
+    return Dataset(x=x, y=y, labels=lab, class_count=q, class_names=list(label_map))
+
+
+def _parse_fast(text: str, label_column: int, has_header: bool):
+    """Features and stripped labels read by ``np.loadtxt``, or None where
+    the per-cell loop must read the text instead."""
+    if '"' in text or "\0" in text:  # csv quoting, and a NUL a C reader may end a cell at
+        return None
+    # universal newlines here only: csv.reader keeps a quoted cell's own line ends
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    body = lines[1:] if has_header else lines
+    first = next((line for line in body if line), "")
+    width = first.count(",") + 1
+    if width < 2 or not -width <= label_column < width:
+        return None
+    label_column %= width
+    dtype = [("left", np.float64, (label_column,)), ("label", object),
+             ("right", np.float64, (width - label_column - 1,))]
+    try:
+        rows = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    x = np.concatenate([rows["left"], rows["right"]], axis=1)
+    names = [cell.strip() for cell in rows["label"].tolist()]
+    if not np.isfinite(x).all() or not all(names):
+        return None
+    return x, names
+
+
+def _parse_cells(text: str, path, label_column: int, has_header: bool):
+    """Features and stripped labels read cell by cell with ``csv.reader``
+    and ``float``; raises DataError naming the first bad cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
+        raise DataError(f"cannot read {path}: {exc}", row=reader.line_num) from None
     if has_header and rows:
         rows = rows[1:]
     offset = 2 if has_header else 1
@@ -121,8 +177,7 @@ def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
         raise ConfigError(f"label column {label_column} out of range for width {width}")
     label_column %= width
 
-    features, labels = [], []
-    label_map: dict[str, int] = {}
+    features, names = [], []
     for lineno, row in rows:
         if len(row) != width:
             raise DataError(f"ragged row: expected {width} cells, got {len(row)}", row=lineno)
@@ -132,7 +187,7 @@ def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
             if j == label_column:
                 if not cell:
                     raise DataError("empty label cell", row=lineno, column=j + 1)
-                labels.append(label_map.setdefault(cell, len(label_map)))
+                names.append(cell)
                 continue
             if not cell:
                 raise DataError("missing feature value", row=lineno, column=j + 1)
@@ -153,10 +208,7 @@ def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
         raise DataError(
             f"non-finite feature cell {row[col].strip()!r}", row=lineno, column=col + 1
         )
-    lab = np.asarray(labels, dtype=np.intp)
-    q = len(label_map)
-    y = encode_one_vs_all(lab, q)
-    return Dataset(x=x, y=y, labels=lab, class_count=q, class_names=list(label_map))
+    return x, names
 
 
 def write_csv(ds: Dataset, path, label_names: list[str] | None = None) -> None:

@@ -300,8 +300,11 @@ class TestFailureContract:
     @pytest.mark.parametrize(
         "content, where",
         [(b"0.1,0.2,a\n0.3,\xff\xfe,b\n", "UTF-8"),
-         (b"0.1,0.2,a\n0.3," + b"4" * 131_073 + b",b\n", "row 2")],
-        ids=["not-utf8", "cell-past-field-limit"],
+         (b"0.1,0.2,a\n0.3," + b"4" * 131_073 + b",b\n",
+          "field larger than field limit (131072) (row 2)"),
+         (b"0.1,0.2,a\n0.3,0." + b"4" * 131_073 + b",b\n",
+          "field larger than field limit (131072) (row 2)")],
+        ids=["not-utf8", "cell-past-field-limit", "finite-cell-past-field-limit"],
     )
     def test_unreadable_csv_is_data_error(self, tmp_path, capsys, content, where):
         data = tmp_path / "bad.csv"
@@ -400,6 +403,22 @@ class TestFailureContract:
             accs.append(json.loads((out / "eval_report.json").read_text())["accuracy"])
         assert accs[0] == accs[1]
         assert accs[0] > 0.9
+
+    def test_byte_order_mark_csv_trains_like_the_plain_file(self, tmp_path):
+        """Spreadsheet exports often start with a UTF-8 byte-order mark; the
+        file must train, and report as the same file without the mark."""
+        from test_experiments import strip_wall_times
+
+        train, _, _ = _iris_csvs(tmp_path)
+        plain = train.read_bytes()
+        reports = []
+        for tag, content in (("plain", plain), ("bom", b"\xef\xbb\xbf" + plain)):
+            train.write_bytes(content)
+            out = tmp_path / tag
+            assert run_cli("train", "--data", str(train), "--layers", "5",
+                           "--out", str(out)) == EXIT_OK
+            reports.append(strip_wall_times(json.loads((out / "report.json").read_text())))
+        assert reports[0] == reports[1]
 
     def test_eval_unknown_class_is_data_error(self, tmp_path):
         train, test, _ = _iris_csvs(tmp_path)

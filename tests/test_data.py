@@ -1,8 +1,12 @@
 """Data pipeline tests: CSV parsing, scaling, encoding, folds, builtins."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,6 +21,7 @@ from karnet import (
     scale_minmax,
     stratified_folds,
 )
+from karnet import data
 from karnet.data import Dataset, iris_train_test_split, write_csv
 
 
@@ -79,6 +84,149 @@ class TestLoadCsv:
         again = load_csv(back, label_column=2)
         np.testing.assert_array_equal(ds.x, again.x)
         np.testing.assert_array_equal(ds.labels, again.labels)
+
+
+# cells on which numpy's reader and float() might disagree, and clean ones
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_NUMBERS = st.one_of(
+    _FLOATS,
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1_0", "\u0661\u0662", "nan", "-inf", "Infinity", "1e400", "-0",
+                     "0x10", "1e", ".5", "5.", "+3", "abc", ""]),
+)
+_NAMES = st.sampled_from(["a", "b", "c", " a", "b ", "1.5", "\u00e9"])
+_BAD_NAMES = st.sampled_from(["", " ", "a\x00"])
+_PADS = st.sampled_from(["", " ", "  ", "\t", "\x0c", "\u3000"])
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _cells(values, messy, quoted):
+    pads = _PADS | st.just("\x00") if messy else _PADS
+    cells = st.tuples(pads, values, pads).map("".join)
+    return cells | cells.map(lambda c: f'"{c}"') if quoted else cells
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text with label column index and header flag.  Files are clean
+    numeric text or messy (malformed and NUL-padded cells, ragged rows,
+    whitespace-only lines), each with or without quoted cells.  All kinds
+    mix line ends and blank lines, and may have a header, which is a data
+    row half the time, and a byte-order mark."""
+    messy, quoted = draw(st.booleans()), draw(st.booleans())
+    width = draw(st.integers(2, 5))
+    label = draw(st.sampled_from([0, width // 2, width - 1]))
+    names = _NAMES | _BAD_NAMES if messy else _NAMES
+    number = _cells(_NUMBERS if messy else _FLOATS, messy, quoted)
+    name = _cells(names | st.just("a,b") if quoted else names, messy, quoted)
+
+    def row(n):
+        return ",".join(draw(name if j == label else number) for j in range(n))
+
+    kinds = ["row"] * 6 + ["blank"] + (["ragged", "space"] if messy else [])
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            lines.append(row(width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)))
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(0, row(width) if draw(st.booleans()) else ",".join(f"h{j}" for j in range(width)))
+    text = "".join(line + draw(_ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    label_column = draw(st.sampled_from([label, label - width]))
+    return text, label_column, has_header
+
+
+def _load_outcome(path, label_column, has_header):
+    """What ``load_csv`` gives: x's bytes, shape, labels and class names, or
+    the type and message of the error it raises."""
+    try:
+        ds = load_csv(path, label_column, has_header)
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+    return ds.x.dtype, ds.x.shape, ds.x.tobytes(), ds.labels.tolist(), ds.class_names
+
+
+class TestLoadCsvRoutes:
+    """numpy's reader takes clean numeric text; everything else, and every
+    error, goes to the per-cell loop, which is the reference."""
+
+    def test_clean_file_takes_the_fast_route(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        ds = Dataset(x=rng.normal(size=(1000, 4)), y=np.zeros((1000, 1)),
+                     labels=rng.integers(0, 3, 1000))
+        p = tmp_path / "t.csv"
+        write_csv(ds, p, label_names=["c", "a", "b"])
+
+        def refuse(*args):
+            raise AssertionError("the per-cell loop read a clean file")
+
+        monkeypatch.setattr(data, "_parse_cells", refuse)
+        got = load_csv(p, label_column=-1)
+        assert got.x.tobytes() == ds.x.tobytes()
+        assert got.class_names == [["c", "a", "b"][i] for i in dict.fromkeys(ds.labels)]
+
+    @pytest.mark.parametrize(
+        "text, x, names",
+        [
+            ('1,2,"a,b"\n3,4,c\n', [[1, 2], [3, 4]], ["a,b", "c"]),
+            ("1_0,2,a\n", [[10, 2]], ["a"]),
+            ("\u0661\u0662,2,a\n", [[12, 2]], ["a"]),
+            ("0.1,0.2,a\x00b\n0.3,0.4,c\n", [[0.1, 0.2], [0.3, 0.4]], ["a\x00b", "c"]),
+        ],
+        ids=["quoted-label", "underscore", "arabic-digits", "nul-in-label"],
+    )
+    def test_fallback_loads_as_before(self, tmp_path, text, x, names):
+        p = tmp_path / "t.csv"
+        p.write_text(text, encoding="utf-8")
+        ds = load_csv(p, label_column=2)
+        np.testing.assert_array_equal(ds.x, x)
+        assert ds.class_names == names
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.1,0.2,a\n0.3,nan,b\n", "non-finite feature cell 'nan' (row 2, column 2)"),
+            ("0.1,0\x00.2,a\n", "non-numeric feature cell '0\\x00.2' (row 1, column 2)"),
+            ("0.1,0.2,a\n0.3, ,b\n", "missing feature value (row 2, column 2)"),
+            ("0.1,0.2, \n", "empty label cell (row 1, column 3)"),
+        ],
+        ids=["nan", "nul-in-feature", "blank-feature", "blank-label"],
+    )
+    def test_fallback_names_the_bad_cell(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_csv(p, label_column=2)
+        assert str(info.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(_csv_texts())
+    @example(("0.5,a\r1.5,b\r", -1, False))  # CR line ends
+    @example(('0.5,"a"\n', 1, False))  # a quoted label
+    @example(("0.5,1.5\n2.5,a\n", -1, True))  # a header numpy could parse
+    @example(("\ufeff0.5,a\r\n", 1, False))  # a byte-order mark
+    def test_fast_route_matches_the_per_cell_reference(self, case):
+        """On generated CSV text, ``load_csv`` returns what the per-cell
+        loop alone returns, bit for bit, or raises the same error."""
+        text, label_column, has_header = case
+        fast = data._parse_fast(text.removeprefix("\ufeff"), label_column, has_header)
+        event("fast route" if fast else "per-cell loop")
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.csv"
+            p.write_text(text, encoding="utf-8", newline="")
+            got = _load_outcome(p, label_column, has_header)
+            with mock.patch.object(data, "_parse_fast", return_value=None):
+                want = _load_outcome(p, label_column, has_header)
+        assert got == want
 
 
 class TestScaling:
