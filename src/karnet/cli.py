@@ -64,6 +64,9 @@ def read_config_file(path: str) -> dict:
 
 
 def _parse_bool(text: str) -> bool:
+    """1/true/yes or 0/false/no in any case; anything else is a ValueError."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
     return text.lower() in ("1", "true", "yes")
 
 

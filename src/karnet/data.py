@@ -243,10 +243,7 @@ def scale_minmax(ds: Dataset, epsilon: float) -> Dataset:
     Constant columns map to 0.5.  The fitted statistics are stored on the
     returned dataset for reuse on held-out folds.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ConfigError(f"scaling epsilon must be in (0, 0.5), got {epsilon}")
-    scaling = _fit_scaling(ds.x)
-    return replace(ds, x=_apply(ds.x, scaling, epsilon), scaling=scaling)
+    return apply_scaling(ds, _fit_scaling(ds.x), epsilon)
 
 
 def apply_scaling(ds: Dataset, scaling, epsilon: float) -> Dataset:

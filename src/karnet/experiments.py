@@ -89,6 +89,9 @@ class ExperimentConfig:
             raise ConfigError("trials, folds and max_iters must be below 2**64")
         if any(h < 1 for h in self.grid):
             raise ConfigError(f"grid values must be >= 1, got {self.grid}")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
+        check_finite("learning_rate", self.learning_rate, positive=False)
         check_finite("gradient_clip", self.gradient_clip, positive=True)
         check_finite("rcond", self.rcond, positive=False)
 
@@ -108,21 +111,19 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_csv(name, label_column=cfg.label_col, has_header=cfg.has_header)
 
 
+def _spec(x: np.ndarray, y: np.ndarray, hidden: tuple[int, ...], seed: int) -> NetworkSpec:
+    return NetworkSpec(input_dim=x.shape[1], hidden=hidden, output_dim=y.shape[1], seed=seed)
+
+
 def _train_once(
-    cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray, hidden: tuple[int, ...], seed: int,
-    trainer: str | None = None,
+    cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray, hidden: tuple[int, ...], seed: int
 ):
-    """Fit one net with ``trainer`` (``cfg.trainer`` when None): "kar",
-    "gd", or "representation" for the random-hidden trainer."""
-    spec = NetworkSpec(
-        input_dim=x.shape[1], hidden=hidden, output_dim=y.shape[1], seed=seed
-    )
-    trainer = trainer or cfg.trainer
-    if trainer == "gd":
+    """Fit one net with the trainer ``cfg.trainer`` names, "kar" or "gd"."""
+    spec = _spec(x, y, hidden, seed)
+    if cfg.trainer == "gd":
         return train_gd(x, y, spec, learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
                         gradient_clip=cfg.gradient_clip)
-    fit = train_random_hidden if trainer == "representation" else train_n_layer
-    return fit(x, y, spec, rcond=cfg.rcond)
+    return train_n_layer(x, y, spec, rcond=cfg.rcond)
 
 
 def _scaled(train: Dataset, test: Dataset, eps: float) -> tuple[Dataset, Dataset]:
@@ -178,7 +179,8 @@ def run_xor_demo(cfg: ExperimentConfig) -> dict:
     nets: dict[str, Network] = {}
     report: dict = {"command": "xor-demo", "seed": cfg.seed, "nets": {}}
     for tag, hidden in (("2layer", (2,)), ("5layer", (3, 3, 3, 3))):
-        net, train_rep = _train_once(cfg, ds.x, ds.y, hidden, cfg.seed, trainer="kar")
+        net, train_rep = train_n_layer(ds.x, ds.y, _spec(ds.x, ds.y, hidden, cfg.seed),
+                                       rcond=cfg.rcond)
         nets[tag] = net
         g = forward(net, ds.x)
         report["nets"][tag] = {
@@ -218,10 +220,8 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
     rows = []  # (h, trial, train SSE, transformed SSE, train error, test error)
     for h in grid:
         for trial in range(cfg.trials):
-            seed = _unit_seed(cfg.seed, h, trial)
-            net, rep = _train_once(
-                cfg, train.x, train.y, (int(h),), seed, trainer="representation"
-            )
+            spec = _spec(train.x, train.y, (int(h),), _unit_seed(cfg.seed, h, trial))
+            net, rep = train_random_hidden(train.x, train.y, spec, rcond=cfg.rcond)
             rows.append((int(h), trial, rep.train_sse, rep.train_sse_transformed,
                          rep.train_error_rate, _test_error(net, test)))
 
@@ -363,8 +363,8 @@ def run_cv(cfg: ExperimentConfig) -> dict:
     Rows keep (trial, fold) order either way.
     """
     ds = load_dataset(cfg)
-    if ds.labels is None or ds.class_count < 2:
-        raise ConfigError("cross-validation requires a labelled dataset")
+    if ds.class_count < 2:
+        raise ConfigError("cross-validation needs at least two classes")
     if cfg.grid and cfg.pattern == "fixed":
         raise ConfigError("cv --grid needs --pattern exp2, exp3 or exp4 to size its nets")
     if cfg.pattern != "fixed" and not cfg.grid:

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .activations import apply_logit, apply_sigmoid
-from .errors import ConfigError, DimensionError, NumericalError, RankDeficiencyError, check_finite
+from .errors import ConfigError, DimensionError, NumericalError
 from .linalg import as_matrix, lstsq, require_rank
 from .network import Network, NetworkSpec, add_bias_column
 
@@ -157,20 +157,13 @@ def train_n_layer(
 ) -> tuple[Network, TrainReport]:
     """Single-pass analytic trainer for n >= 1 layers; with n = 1 there is
     no random layer and the peeling chain is empty.  The spec's seed draws
-    the random layers; ``rcond`` (finite and >= 0) overrides the
-    singular-value cutoff of every solve."""
+    the random layers; ``rcond`` overrides ``lstsq``'s cutoff in every
+    solve.  The peel multiplies by node-block transposes and uses none."""
     t0 = time.perf_counter()
-    check_finite("rcond", rcond, positive=False)
     xm, ym = _check_spec(spec, x, y)
     n = spec.n_layers
     rng = np.random.default_rng(spec.seed)
     shapes = spec.weight_shapes
-
-    # a cutoff rcond >= 1 keeps none of a random node block's unit singular values
-    if n > 1 and rcond is not None and rcond >= 1.0:
-        raise RankDeficiencyError(
-            f"random node block of layer {n} is numerically rank-deficient (rank 0)"
-        )
 
     # random initialization of layers 2..n (bias rows and node blocks)
     weights: list[np.ndarray | None] = [None] * n
@@ -249,7 +242,6 @@ def train_random_hidden(
     is the output solve's cutoff, as for ``train_n_layer``.
     """
     t0 = time.perf_counter()
-    check_finite("rcond", rcond, positive=False)
     xm, ym = _check_spec(spec, x, y)
     if spec.n_layers < 2:
         raise ConfigError("train_random_hidden requires at least one hidden layer")

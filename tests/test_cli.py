@@ -177,6 +177,31 @@ class TestConfigFile:
         cfgfile.write_text("nonsense = 1\n")
         assert run_cli("cv", "--config", str(cfgfile)) == EXIT_CONFIG
 
+    def test_line_without_equals_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("data = xor\nlayers 5\n")
+        assert run_cli("cv", "--config", str(cfgfile)) == EXIT_CONFIG
+        assert f"{cfgfile}:2: expected key=value, got 'layers 5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("layers = a,b", "config key 'layers': bad value 'a,b'"),
+        ("header = on", "config key 'header': bad value 'on'"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, line, message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data = xor\n{line}\n")
+        assert run_cli("train", "--config", str(cfgfile), "--out", str(tmp_path)) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("true", True), ("YES", True), ("True", True),
+        ("0", False), ("false", False), ("No", False), ("FALSE", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        assert _parse_bool(text) is value
+        assert self._config(tmp_path, [f"header = {text}"], []).has_header is value
+
     def test_comments_and_blanks(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("# comment\n\ndata = xor\nlayers = 2\n"
@@ -539,26 +564,44 @@ class TestFailureContract:
         assert code == EXIT_CONFIG
         assert "Traceback" not in err and "seed" in err
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--gradient-clip", "-1"), ("--gradient-clip", "0"), ("--gradient-clip", "nan"),
-         ("--gradient-clip", "inf"), ("--rcond", "-1"), ("--rcond", "nan"), ("--rcond", "inf")],
-    )
-    def test_bad_clip_or_rcond_is_config_error(self, tmp_path, capsys, flag, value):
-        code = run_cli("train", "--data", "iris", "--layers", "3", "--trainer", "gd",
+    _CLIP_OR_RCOND = [
+        ("--gradient-clip", "-1"), ("--gradient-clip", "0"), ("--gradient-clip", "nan"),
+        ("--gradient-clip", "inf"), ("--rcond", "-1"), ("--rcond", "nan"), ("--rcond", "inf"),
+    ]
+    _RATE_OR_ITERS = [("--learning-rate", "-1"), ("--learning-rate", "nan"), ("--max-iters", "0")]
+
+    @pytest.mark.parametrize("trainer, flag, value", [
+        *(pytest.param("gd", flag, value, id=f"{flag}-{value}") for flag, value in _CLIP_OR_RCOND),
+        *(pytest.param("kar", flag, value, id=f"kar{flag}-{value}")
+          for flag, value in _CLIP_OR_RCOND + _RATE_OR_ITERS),
+    ])
+    def test_bad_clip_or_rcond_is_config_error(self, tmp_path, capsys, trainer, flag, value):
+        """Each numeric option is checked whatever the trainer, so a gd
+        option is a config error under kar too."""
+        code = run_cli("train", "--data", "iris", "--layers", "3", "--trainer", trainer,
                        "--max-iters", "5", flag, value, "--out", str(tmp_path))
         assert code == EXIT_CONFIG
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_rcond_one_drops_the_random_node_block(self, tmp_path):
-        """Every singular value of a random node block is 1, so ``--rcond 1``
-        keeps none of them: the peel fails with exit 4 and writes no report."""
+        """Every singular value of a random node block is 1 and the peel uses
+        no cutoff; ``--rcond 1`` keeps no singular value of the first solve,
+        so the fit fails there with exit 4 and writes no report."""
         code, err = run_cli_process(
             "train", "--data", "iris", "--layers", "3", "--rcond", "1", "--out", str(tmp_path),
         )
         assert code == EXIT_NUMERIC
-        assert "Traceback" not in err and "random node block of layer 2" in err
+        assert "Traceback" not in err and "input matrix is numerically rank-deficient" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_one_class_csv_cv_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("0.1,0.2,a\n0.3,0.4,a\n0.5,0.6,a\n")
+        code = run_cli("cv", "--data", str(data), "--layers", "2", "--folds", "2",
+                       "--trials", "1", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "cross-validation needs at least two classes" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_label_only_csv_is_data_error(self, tmp_path, capsys):

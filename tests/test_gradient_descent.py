@@ -142,6 +142,13 @@ class TestTrainGd:
         with pytest.raises(ConfigError, match="gradient_clip"):
             train_gd(x, y, spec, gradient_clip=clip)
 
+    def test_max_iters_below_one_is_config_error(self):
+        from karnet import ConfigError
+
+        x, y, spec = small_problem(7)
+        with pytest.raises(ConfigError, match="max_iters must be >= 1"):
+            train_gd(x, y, spec, max_iters=0)
+
     def test_gradient_clip_keeps_run_finite(self):
         x, y, spec = small_problem(7)
         _, rep = train_gd(x, y, spec, learning_rate=1e-3, max_iters=100, gradient_clip=1.0)

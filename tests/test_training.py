@@ -319,9 +319,17 @@ class TestErrors:
         train_n_layer(ds.x, ds.y, spec_for(ds.x, ds.y, (2,)), rcond=0.0)
 
     def test_rcond_one_keeps_no_unit_singular_value_of_a_node_block(self):
+        """The peel uses no cutoff; the first solve keeps no singular value."""
         ds = make_xor(perturbed=True)
-        with pytest.raises(RankDeficiencyError, match="random node block of layer 2"):
+        with pytest.raises(RankDeficiencyError, match="input matrix"):
             train_n_layer(ds.x, ds.y, spec_for(ds.x, ds.y, (2,)), rcond=1.0)
+
+    def test_random_hidden_needs_a_hidden_layer(self):
+        from karnet import ConfigError
+
+        ds = make_xor(perturbed=True)
+        with pytest.raises(ConfigError, match="requires at least one hidden layer"):
+            train_random_hidden(ds.x, ds.y, spec_for(ds.x, ds.y, ()))
 
     @pytest.mark.parametrize("rcond", [0.0, 0.5])
     def test_rcond_below_one_trains_through_the_peel(self, rcond):
