@@ -1,7 +1,8 @@
 """Command-line harness.
 
-Subcommands: train, eval, cv, xor-demo, iris-sweep, gradient-check.
-A key=value config file supplies defaults that explicit flags override.
+Subcommands: train, eval, cv, xor-demo, iris-sweep, gradient-check; each
+takes only the flags of the run options it reads.  A key=value config file
+supplies defaults that explicit flags override.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
 """
@@ -94,6 +95,29 @@ _OPTIONS = (
 )
 
 
+# One row per command: its help, the _OPTIONS keys its run reads, and what
+# runs it.  A command takes only those flags (and --config); a config file
+# may set any key, so one file serves train and eval alike.  The lambdas
+# look run_train, run_eval and run_cv up in this module when called, so a
+# wrapper patched over one of those names (the bench tracer's) is the one run.
+_COMMANDS = {
+    "train": ("fit one network on a dataset, write weights.json + report.json",
+              "data label-col header layers trainer seed out scale-eps rcond learning-rate"
+              " max-iters gradient-clip".split(), lambda cfg, args: run_train(cfg)),
+    "eval": ("evaluate stored weights on a dataset", "data label-col header out scale-eps".split(),
+             lambda cfg, args: run_eval(cfg, args.weights)),
+    "cv": ("stratified k-fold cross-validation", [key for key, *_ in _OPTIONS],
+           lambda cfg, args: run_cv(cfg)),
+    "xor-demo": ("reproduce the exclusive-or decision surfaces", "seed out rcond".split(),
+                 lambda cfg, args: run_xor_demo(cfg)),
+    "iris-sweep": ("hidden-size sweep on the 90/60 iris split",
+                   "seed trials grid out scale-eps rcond".split(),
+                   lambda cfg, args: run_iris_sweep(cfg)),
+    "gradient-check": ("compare backprop with finite differences", "layers seed".split(),
+                       lambda cfg, args: _cmd_gradient_check(cfg)),
+}
+
+
 def build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config-file values with flags; flags win."""
     values: dict = {}
@@ -108,19 +132,9 @@ def build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
             except ValueError:
                 raise ConfigError(f"config key {key!r}: bad value {text!r}") from None
     for _, name, _, _ in _OPTIONS:
-        if getattr(args, name) is not None:
+        if getattr(args, name, None) is not None:  # a flag the command does not take is unset
             values[name] = getattr(args, name)
     return ExperimentConfig(**values)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    for key, name, parse, help_text in _OPTIONS:
-        if parse is _parse_bool:
-            p.add_argument(f"--{key}", dest=name, action="store_const", const=True,
-                           help=help_text)
-        else:
-            p.add_argument(f"--{key}", dest=name, type=parse, help=help_text)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -129,20 +143,19 @@ def make_parser() -> argparse.ArgumentParser:
         description="Analytic (gradient-free) feedforward network training harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("train", "fit one network on a dataset, write weights.json + report.json"),
-        ("eval", "evaluate stored weights on a dataset"),
-        ("cv", "stratified k-fold cross-validation"),
-        ("xor-demo", "reproduce the exclusive-or decision surfaces"),
-        ("iris-sweep", "hidden-size sweep on the 90/60 iris split"),
-        ("gradient-check", "compare backprop with finite differences"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "eval":
+    for command, (help_text, keys, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key, name, parse, option_help in _OPTIONS:
+            if key not in keys:
+                continue
+            if parse is _parse_bool:
+                p.add_argument(f"--{key}", dest=name, action="store_const", const=True,
+                               help=option_help)
+            else:
+                p.add_argument(f"--{key}", dest=name, type=parse, help=option_help)
+        if command == "eval":
             p.add_argument("--weights", required=True, help="weights.json path")
-
     return parser
 
 
@@ -165,24 +178,10 @@ def _cmd_gradient_check(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = build_experiment_config(args)
-        if args.command == "train":
-            report = run_train(cfg)
-        elif args.command == "eval":
-            report = run_eval(cfg, args.weights)
-        elif args.command == "cv":
-            report = run_cv(cfg)
-        elif args.command == "xor-demo":
-            report = run_xor_demo(cfg)
-        elif args.command == "iris-sweep":
-            report = run_iris_sweep(cfg)
-        elif args.command == "gradient-check":
-            return _cmd_gradient_check(cfg)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        result = _COMMANDS[args.command][2](cfg, args)
     except (ConfigError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -195,8 +194,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # reads raise DataError; this is an output that cannot be written
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if isinstance(result, int):  # gradient-check printed its own line and chose its exit code
+        return result
     print(json.dumps({"command": args.command, "out": cfg.out,
-                      "summary": _summarize(report)}))
+                      "summary": _summarize(result)}))
     return EXIT_OK
 
 

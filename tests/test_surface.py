@@ -1,11 +1,12 @@
 """The package's public surface: exported names resolve, the README's
-library quick start runs as written, and no module imports a name it
-never uses."""
+library quick start runs as written and its CLI quick start parses, and no
+module imports a name it never uses."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,23 @@ def test_readme_library_quick_start_runs(capsys):
     assert block, "README has no python block under 'Quick start (library)'"
     exec(compile(block.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_cli_quick_start_lines_parse():
+    """Every ``karnet`` line of the README's CLI quick start, its ``\\``
+    continuations joined, parses: no command is shown a flag it refuses."""
+    from karnet.cli import make_parser
+
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start \(CLI\)\s*```bash\n(.*?)```", readme, re.DOTALL)
+    assert block, "README has no bash block under 'Quick start (CLI)'"
+    lines = [shlex.split(line, comments=True)
+             for line in block.group(1).replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["karnet"]]
+    assert {argv[0] for argv in commands} == {
+        "train", "eval", "cv", "xor-demo", "iris-sweep", "gradient-check"}
+    for argv in commands:
+        make_parser().parse_args(argv)
 
 
 def _unused_imports(path: Path) -> list[str]:
