@@ -9,6 +9,13 @@ identical network model serves as the comparison baseline, and an
 experiment harness reproduces the exclusive-or and iris case studies.
 """
 
+import os
+import sys
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in () if "numpy" in sys.modules else BLAS_THREAD_VARS:  # numpy reads them as it loads
+    os.environ.setdefault(_var, "1")  # one BLAS thread unless the caller set a count
+
 from .activations import ACTIVATION, CLAMP_EPS, apply_logit, apply_sigmoid
 from .data import (
     Dataset,

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .data import (
     Dataset,
     apply_scaling,
@@ -50,11 +51,8 @@ __all__ = [
 
 PAPER_GRID = (1, 2, 3, 5, 10, 20, 30, 50, 80, 100, 200, 500)
 IRIS_SWEEP_GRID = tuple(range(79, 94))
-# cv runs its (trial, fold) units after the first on a process pool when they
-# would take at least this many seconds here: a spawn pool of two workers
-# costs about 0.4 s to start, import numpy and karnet and map a trivial call.
-POOL_MIN_SECONDS = 1.0
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# seconds of cv units worth a fork pool (0.01 s to start on 2 cores; pooling won from 0.2 s)
+POOL_MIN_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -310,23 +308,19 @@ def _usable_cpus() -> int:
 
 
 def _process_pool(workers: int):
-    """An executor of ``workers`` spawned processes (imported only to pool)."""
+    """An executor of ``workers`` forked processes (ValueError where there is no fork)."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _pool_rows(cfg: ExperimentConfig, ds: Dataset, units: list, workers: int) -> list[dict]:
-    """Rows of ``units``, in order, from a pool of ``workers`` processes that
-    each run BLAS on one thread.  A KarnetError in a worker is raised here
-    as it was raised there.  If the pool cannot start or breaks, the rows
-    it finished are returned and the caller runs the rest itself."""
+    """Rows of ``units``, in order, from ``workers`` processes; a worker's KarnetError
+    is raised here.  A pool that cannot start or breaks returns the rows it finished."""
     from concurrent.futures.process import BrokenProcessPool
 
     rows: list[dict] = []
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))  # read as a worker imports numpy
     try:
         pool = _process_pool(workers)
         try:
@@ -334,14 +328,8 @@ def _pool_rows(cfg: ExperimentConfig, ds: Dataset, units: list, workers: int) ->
                 rows.append(row)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-    except (BrokenProcessPool, OSError):
-        pass  # e.g. a script without a __main__ guard, which spawn runs again in each worker
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+    except (BrokenProcessPool, OSError, ValueError):
+        pass  # e.g. a worker killed, no memory to fork, or no fork on this platform
     return rows
 
 
@@ -357,9 +345,9 @@ def run_cv(cfg: ExperimentConfig) -> dict:
     from the final fit (``train_wall_time``); ``aggregate.total_wall_time``
     is their sum.
 
-    The first (trial, fold) unit runs here; if the rest would take at least
-    ``POOL_MIN_SECONDS`` at its pace, they go to one process per usable CPU.
-    Rows keep (trial, fold) order either way.
+    The first (trial, fold) unit runs here.  If the rest would take at least
+    ``POOL_MIN_SECONDS`` at its pace and BLAS runs one thread, which forked
+    workers inherit, they go to one process per usable CPU.  Rows keep order.
     """
     ds = load_dataset(cfg)
     if ds.class_count < 2:
@@ -379,7 +367,8 @@ def run_cv(cfg: ExperimentConfig) -> dict:
     units = [(trial, fold) for trial in range(cfg.trials) for fold in range(cfg.folds)]
     t0 = time.perf_counter()
     rows = [_cv_unit(cfg, ds, units[0])]
-    workers = min(_usable_cpus(), len(units) - 1)
+    one_thread = all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+    workers = min(_usable_cpus(), len(units) - 1) if one_thread else 1
     if workers > 1 and (time.perf_counter() - t0) * (len(units) - 1) >= POOL_MIN_SECONDS:
         rows += _pool_rows(cfg, ds, units[1:], workers)
     rows += [_cv_unit(cfg, ds, unit) for unit in units[len(rows):]]

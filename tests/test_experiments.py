@@ -5,11 +5,15 @@ import json
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import karnet
 import karnet.experiments as experiments
 from karnet import ConfigError, ExperimentConfig, error_rate
 from karnet.cli import EXIT_NUMERIC, main
@@ -155,7 +159,8 @@ class TestRunCv:
             return original(ds, eps)
 
         monkeypatch.setattr(experiments, "scale_minmax", counting)
-        force_inline(monkeypatch)  # the patch cannot reach a spawned worker
+        # forked workers would see the patch, but their calls are not counted here
+        force_inline(monkeypatch)
         folds = 3
         run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path), seed=0, trials=1,
                                 folds=folds, grid=(1, 2, 5), pattern="exp2"))
@@ -183,11 +188,18 @@ def force_inline(monkeypatch):
     monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", float("inf"))
 
 
+def skip_unless_cv_can_pool():
+    """Skip where run_cv would not pool: one usable CPU, or BLAS threads not 1."""
+    if experiments._usable_cpus() < 2:
+        pytest.skip("cv pools only with two usable CPUs")
+    if any(os.environ.get(var) != "1" for var in karnet.BLAS_THREAD_VARS):
+        pytest.skip("cv pools only at one BLAS thread")
+
+
 def force_pool(monkeypatch):
     """Hand every cv unit after the first to the process pool, whatever it
     costs; returns the worker count of each pool started."""
-    if experiments._usable_cpus() < 2:
-        pytest.skip("cv pools only with two usable CPUs")
+    skip_unless_cv_can_pool()
     started = []
     factory = experiments._process_pool
 
@@ -212,15 +224,36 @@ _OVERFLOWING_GD_CV = ["cv", "--data", "iris", "--layers", "3", "--trainer", "gd"
                       "--folds", "5", "--seed", "0"]
 
 
+# run as a script with no __main__ guard: run_cv pools its 3 units after the
+# first, prints the pool's worker count and waits for stdin to close
+_NO_GUARD_SCRIPT = """\
+import sys
+import karnet.experiments as experiments
+from karnet import ExperimentConfig, run_cv
+
+started = []
+pool = experiments._process_pool
+experiments._process_pool = lambda workers: started.append(workers) or pool(workers)
+experiments.POOL_MIN_SECONDS = 0.0
+run_cv(ExperimentConfig(dataset="iris", layers=(8,), trials=1, folds=4, seed=3,
+                        out=sys.argv[1]))
+print("pools", *started, flush=True)
+sys.stdin.read()
+"""
+
+
 class TestCvPool:
     @pytest.mark.parametrize("options", [
         pytest.param(dict(grid=(1, 5, 20), pattern="exp2", trials=1, folds=3), id="kar-grid"),
         pytest.param(dict(layers=(8, 4), trials=2, folds=3), id="kar-layers"),
         pytest.param(dict(layers=(5,), trainer="gd", max_iters=20, gradient_clip=1.0,
                           trials=1, folds=4), id="gd"),
+        # exp4-sized: wide enough that BLAS runs its thread count on these solves,
+        # so a worker with another count than this process gives other rows
+        pytest.param(dict(layers=(400, 200, 100), trials=2, folds=5), id="kar-exp4"),
     ])
     def test_pooled_report_matches_inline(self, tmp_path, monkeypatch, options):
-        blas = {var: os.environ.get(var) for var in experiments._BLAS_THREAD_VARS}
+        environ = dict(os.environ)
         cfg = dict(dataset="iris", seed=7, **options)
         force_inline(monkeypatch)
         run_cv(ExperimentConfig(out=str(tmp_path / "inline"), **cfg))
@@ -232,7 +265,7 @@ class TestCvPool:
         parts = sum(r["select_wall_time"] + r["train_wall_time"] for r in rep["rows"])
         assert rep["aggregate"]["total_wall_time"] == pytest.approx(parts, rel=1e-12)
         assert multiprocessing.active_children() == []
-        assert {var: os.environ.get(var) for var in blas} == blas
+        assert dict(os.environ) == environ
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerical_error_in_a_worker_exits_4(self, tmp_path, monkeypatch, capsys):
@@ -258,6 +291,52 @@ class TestCvPool:
         with pytest.raises(NumericalError, match="non-finite"):
             run_cv(cfg)
         assert multiprocessing.active_children() == []
+
+    def test_script_without_main_guard_pools_and_leaves_no_process(self, tmp_path):
+        """A script that calls run_cv at module level pools without a
+        traceback, and once run_cv returns no worker or multiprocessing
+        helper (the resource tracker) is a child of it."""
+        skip_unless_cv_can_pool()
+        script = tmp_path / "no_guard.py"
+        script.write_text(_NO_GUARD_SCRIPT)
+        env = dict(os.environ, PYTHONPATH=str(Path(karnet.__file__).parents[1]))
+        with subprocess.Popen([sys.executable, str(script), str(tmp_path / "out")],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env) as proc:
+            started = proc.stdout.readline()  # printed once run_cv has returned
+            children = subprocess.run(["ps", "--ppid", str(proc.pid), "-o", "pid=,args="],
+                                      capture_output=True, text=True).stdout
+            _, err = proc.communicate("", timeout=120)
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+        assert started.split() == ["pools", str(min(experiments._usable_cpus(), 3))]
+        assert children == ""
+
+    @pytest.mark.parametrize("value", ["2", None])
+    def test_pools_only_at_one_blas_thread(self, tmp_path, monkeypatch, value):
+        """Forked workers run BLAS at this process's thread count, so cv stays
+        inline where a thread variable reads another count, or is unset
+        because numpy loaded before karnet and chose its own count."""
+        started = force_pool(monkeypatch)
+        if value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        run_cv(ExperimentConfig(dataset="iris", layers=(6,), trials=1, folds=4, seed=9,
+                                out=str(tmp_path)))
+        assert started == []
+
+    @pytest.mark.parametrize("first", ["karnet", "numpy"])
+    def test_import_sets_one_blas_thread_only_before_numpy(self, first):
+        """numpy reads the thread variables as it loads, so importing karnet
+        sets the unset ones to 1 only while numpy is not yet loaded."""
+        env = {k: v for k, v in os.environ.items() if k not in karnet.BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(karnet.__file__).parents[1])
+        code = (f"import {first}, karnet, os; "
+                "print(*(os.environ.get(v) for v in karnet.BLAS_THREAD_VARS))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120, check=True).stdout.split()
+        assert out == (["1"] * 3 if first == "karnet" else ["None"] * 3)
 
     def test_data_error_keeps_its_location_through_pickle(self):
         exc = pickle.loads(pickle.dumps(DataError("bad cell", row=4, column=2)))

@@ -4,9 +4,12 @@ module imports a name it never uses."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,9 +41,10 @@ def test_readme_library_quick_start_runs(capsys):
     assert capsys.readouterr().out
 
 
-def test_readme_cli_quick_start_lines_parse():
-    """Every ``karnet`` line of the README's CLI quick start, its ``\\``
-    continuations joined, parses: no command is shown a flag it refuses."""
+def test_readme_cli_quick_start_lines_parse(tmp_path):
+    """Every ``karnet`` and ``python -m karnet`` line of the README's CLI
+    quick start, its ``\\`` continuations joined, parses: no command is
+    shown a flag it refuses.  The ``python -m karnet`` lines also run."""
     from karnet.cli import make_parser
 
     readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
@@ -49,10 +53,17 @@ def test_readme_cli_quick_start_lines_parse():
     lines = [shlex.split(line, comments=True)
              for line in block.group(1).replace("\\\n", " ").splitlines()]
     commands = [argv[1:] for argv in lines if argv[:1] == ["karnet"]]
-    assert {argv[0] for argv in commands} == {
+    module_runs = [argv[3:] for argv in lines if argv[:3] == ["python", "-m", "karnet"]]
+    assert module_runs, "README shows no 'python -m karnet' line"
+    assert {argv[0] for argv in commands + module_runs} == {
         "train", "eval", "cv", "xor-demo", "iris-sweep", "gradient-check"}
-    for argv in commands:
+    for argv in commands + module_runs:
         make_parser().parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    for argv in module_runs:
+        proc = subprocess.run([sys.executable, "-m", "karnet", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _unused_imports(path: Path) -> list[str]:
