@@ -145,6 +145,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, keys, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        p.set_defaults(command_parser=p)  # main reports a refused flag with this usage
         p.add_argument("--config", help="key=value config file; flags override it")
         for key, name, parse, option_help in _OPTIONS:
             if key not in keys:
@@ -178,7 +179,9 @@ def _cmd_gradient_check(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args, unknown = make_parser().parse_known_args(argv)
+    if unknown:  # name the command's own usage, not the root's
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = build_experiment_config(args)
         result = _COMMANDS[args.command][2](cfg, args)

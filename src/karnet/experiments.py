@@ -258,9 +258,22 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
 
 def _select_hidden(
     cfg: ExperimentConfig, train: Dataset, trial_seed: int
-) -> tuple[int, ...]:
-    """Inner cross-validation over the sweep grid on the training subset;
-    ties in mean accuracy break toward the smaller hidden size."""
+) -> tuple[tuple[int, ...], int]:
+    """Inner cross-validation over the sweep grid on the training subset:
+    the hidden sizes of the width with the best mean accuracy over k inner
+    folds, and the number of inner fits run.
+
+    Widths go in ascending order and a later one wins only with a strictly
+    higher mean, so ties break toward the smaller width.  A width stops as
+    soon as it cannot win: when, with folds still left, its accuracies so far
+    plus 1.0 for each fold left fall below k x (best mean) - 1e-9.  An
+    accuracy is at most 1 and the margin covers rounding, so a stopped width
+    could at best have tied; its skipped fits never run, so they cannot
+    raise either.  Folds are visited hardest first (lowest summed accuracy
+    over the widths not stopped so far, ties by fold index), so losses show
+    early.  A width that is not stopped is averaged in fold order, which
+    makes the pick the same as evaluating every width on every fold.
+    """
     inner_k = min(cfg.folds, train.n_samples)
     plan = stratified_folds(train.labels, inner_k, trial_seed)
     scaled = [  # each inner fold's scaled (train, validation) pair, made once
@@ -268,17 +281,26 @@ def _select_hidden(
                 split_rows(train, plan.test_indices(fold)), cfg.scale_eps)
         for fold in range(inner_k)
     ]
-    best_h, best_acc = None, -1.0
+    best_h, best_acc, fits = None, -1.0, 0
+    fold_sums = [0.0] * inner_k  # per fold, summed accuracy of the widths not stopped
     for h in sorted(cfg.grid):
-        accs = []
-        for fold, (tr_s, va_s) in enumerate(scaled):
+        accs = {}
+        for fold in sorted(range(inner_k), key=lambda f: (fold_sums[f], f)):
+            tr_s, va_s = scaled[fold]
             seed = _unit_seed(trial_seed, h, fold)
             net, _ = _train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(int(h)), seed)
-            accs.append(1.0 - _test_error(net, va_s))
-        mean_acc = float(np.mean(accs))
-        if mean_acc > best_acc:
-            best_h, best_acc = int(h), mean_acc
-    return cfg.hidden_for(best_h)
+            fits += 1
+            accs[fold] = 1.0 - _test_error(net, va_s)
+            left = inner_k - len(accs)
+            if left and sum(accs.values()) + left < inner_k * best_acc - 1e-9:
+                break
+        else:
+            in_order = [accs[fold] for fold in range(inner_k)]
+            fold_sums = [total + acc for total, acc in zip(fold_sums, in_order)]
+            mean_acc = float(np.mean(in_order))
+            if mean_acc > best_acc:
+                best_h, best_acc = int(h), mean_acc
+    return cfg.hidden_for(best_h), fits
 
 
 def _cv_unit(cfg: ExperimentConfig, ds: Dataset, unit: tuple[int, int]) -> dict:
@@ -291,12 +313,14 @@ def _cv_unit(cfg: ExperimentConfig, ds: Dataset, unit: tuple[int, int]) -> dict:
     train_s, test_s = _scaled(train, split_rows(ds, plan.test_indices(fold)), cfg.scale_eps)
     t0 = time.perf_counter()
     grid_seed = _unit_seed(cfg.seed, trial, fold)
-    hidden = _select_hidden(cfg, train, grid_seed) if cfg.grid else cfg.layers
+    hidden, select_fits = (_select_hidden(cfg, train, grid_seed) if cfg.grid
+                           else (cfg.layers, 0))
     select_time = time.perf_counter() - t0
     net, rep = _train_once(cfg, train_s.x, train_s.y, hidden, _unit_seed(cfg.seed, trial, fold, 1))
     return {"trial": trial, "fold": fold, "trainer": cfg.trainer, "hidden": list(hidden),
             "accuracy": 1.0 - _test_error(net, test_s), "train_sse": rep.train_sse,
-            "select_wall_time": select_time, "train_wall_time": rep.wall_time}
+            "select_fits": select_fits, "select_wall_time": select_time,
+            "train_wall_time": rep.wall_time}
 
 
 def _usable_cpus() -> int:
@@ -343,7 +367,8 @@ def run_cv(cfg: ExperimentConfig) -> dict:
     cross-validation on the training subset only, and ``layers`` is trained
     otherwise.  Each row times that selection (``select_wall_time``) apart
     from the final fit (``train_wall_time``); ``aggregate.total_wall_time``
-    is their sum.
+    is their sum.  Each row counts the selection's inner fits
+    (``select_fits``, 0 without a grid); ``aggregate.select_fits`` is their sum.
 
     The first (trial, fold) unit runs here.  If the rest would take at least
     ``POOL_MIN_SECONDS`` at its pace and BLAS runs one thread, which forked
@@ -389,6 +414,7 @@ def run_cv(cfg: ExperimentConfig) -> dict:
             "mean_train_wall_time": float(np.mean(times)),
             "total_train_wall_time": float(np.sum(times)),
             "total_wall_time": float(np.sum(times) + np.sum(select_times)),
+            "select_fits": sum(r["select_fits"] for r in rows),
         },
     }
     write_report(report, outdir / "report.json")

@@ -328,17 +328,20 @@ def _strip_wall_times(obj):
 def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Repeated cv and iris-sweep runs with one seed/config match byte for
     byte once wall-time fields are removed; so does a cv run whose units
-    after the first go to the process pool."""
+    after the first go to the process pool.  The cv runs cover fixed layers
+    and a selection grid, whose inner fits the selection prunes."""
     import karnet.experiments as experiments
 
-    blobs = {"cv": [], "sweep": [], "sweep_csv": []}
+    blobs = {"cv": [], "cv_grid": [], "sweep": [], "sweep_csv": []}
+    cv_runs = {"cv": dict(layers=(20,)), "cv_grid": dict(grid=(1, 5, 20), pattern="exp2")}
     for tag, pool_min_seconds in (("a", float("inf")), ("b", float("inf")), ("pooled", 0.0)):
         monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", pool_min_seconds)
-        out_cv = tmp_path / f"cv_{tag}"
-        run_cv(ExperimentConfig(dataset="iris", out=str(out_cv), seed=5,
-                                trials=2, folds=5, layers=(20,)))
-        rep = json.loads((out_cv / "report.json").read_text())
-        blobs["cv"].append(json.dumps(_strip_wall_times(rep), sort_keys=True).encode())
+        for name, options in cv_runs.items():
+            out_cv = tmp_path / f"{name}_{tag}"
+            run_cv(ExperimentConfig(dataset="iris", out=str(out_cv), seed=5,
+                                    trials=2, folds=5, **options))
+            rep = json.loads((out_cv / "report.json").read_text())
+            blobs[name].append(json.dumps(_strip_wall_times(rep), sort_keys=True).encode())
         if tag == "pooled":
             continue
 
@@ -350,7 +353,9 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
         blobs["sweep_csv"].append((out_sw / "sweep.csv").read_bytes())
     ok = all(len(set(runs)) == 1 for runs in blobs.values())
     report("9 determinism", ok,
-           "cv (inline twice, pooled once) + iris-sweep reports byte-identical modulo wall time")
+           "cv with layers and with a grid (inline twice, pooled once) + iris-sweep reports"
+           " byte-identical modulo wall time")
     assert blobs["cv"][0] == blobs["cv"][1] == blobs["cv"][2]
+    assert blobs["cv_grid"][0] == blobs["cv_grid"][1] == blobs["cv_grid"][2]
     assert blobs["sweep"][0] == blobs["sweep"][1]
     assert blobs["sweep_csv"][0] == blobs["sweep_csv"][1]

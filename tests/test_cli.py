@@ -252,6 +252,22 @@ class TestCommandOptions:
         assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["xor-demo", "--trainer", "gd"],
+        ["iris-sweep", "--data", "my.csv"],
+        ["eval", "--weights", "w.json", "--layers", "5"],
+    ])
+    def test_refused_flag_prints_its_commands_usage(self, capsys, argv):
+        """A refused flag is reported with the usage of the command given,
+        which lists the flags it does take, not with the root usage."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: karnet {argv[0]} [-h] [--config CONFIG]")
+        assert f"karnet {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert "{train," not in err
+
     def test_help_lists_exactly_the_flags_each_command_takes(self, capsys):
         accepted = 0
         for command, reads in _READS.items():

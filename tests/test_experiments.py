@@ -17,6 +17,7 @@ import karnet
 import karnet.experiments as experiments
 from karnet import ConfigError, ExperimentConfig, error_rate
 from karnet.cli import EXIT_NUMERIC, main
+from karnet.data import load_iris, split_rows, stratified_folds
 from karnet.errors import DataError, NumericalError
 from karnet.experiments import run_cv, run_iris_sweep, run_xor_demo, write_report
 
@@ -215,6 +216,147 @@ def force_pool(monkeypatch):
 def _cv_blob(out) -> str:
     return json.dumps(strip_wall_times(json.loads((out / "report.json").read_text())),
                       sort_keys=True)
+
+
+def _exhaustive_selection(cfg, train, trial_seed):
+    """Reference width selection: every width on every inner fold, mean
+    accuracy in fold order, strictly better to win."""
+    inner_k = min(cfg.folds, train.n_samples)
+    plan = stratified_folds(train.labels, inner_k, trial_seed)
+    best_h, best_acc = None, -1.0
+    for h in sorted(cfg.grid):
+        accs = []
+        for fold in range(inner_k):
+            tr_s, va_s = experiments._scaled(split_rows(train, plan.train_indices(fold)),
+                                             split_rows(train, plan.test_indices(fold)),
+                                             cfg.scale_eps)
+            seed = experiments._unit_seed(trial_seed, h, fold)
+            net, _ = experiments._train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(h), seed)
+            accs.append(1.0 - experiments._test_error(net, va_s))
+        mean_acc = float(np.mean(accs))
+        if mean_acc > best_acc:
+            best_h, best_acc = h, mean_acc
+    return cfg.hidden_for(best_h)
+
+
+def _cache_fits(monkeypatch):
+    """Serve repeated fits on identical inputs from a cache; returns the
+    list of every fit asked for."""
+    cache, asked = {}, []
+    train_once = experiments._train_once
+
+    def cached(cfg, x, y, hidden, seed):
+        key = (cfg, hidden, seed, x.tobytes(), y.tobytes())
+        asked.append(key)
+        if key not in cache:
+            cache[key] = train_once(cfg, x, y, hidden, seed)
+        return cache[key]
+
+    monkeypatch.setattr(experiments, "_train_once", cached)
+    return asked
+
+
+class TestSelectHidden:
+    @pytest.mark.parametrize("options", [
+        pytest.param(dict(grid=experiments.PAPER_GRID, pattern="exp2", seed=seed), id=f"paper-{seed}")
+        for seed in (0, 1, 2)
+    ] + [
+        pytest.param(dict(grid=(1, 2, 3, 5, 10), pattern="exp3", folds=5, seed=4), id="exp3"),
+        pytest.param(dict(grid=(1, 3, 5), pattern="exp2", trainer="gd", max_iters=30,
+                          gradient_clip=1.0, folds=4, seed=6), id="gd"),
+    ])
+    def test_picks_the_exhaustive_width(self, tmp_path, monkeypatch, options):
+        """Every outer fold's pick is the width an exhaustive inner cv picks,
+        and each row counts the inner fits the selection asked for."""
+        cfg = ExperimentConfig(dataset="iris", out=str(tmp_path), trials=1,
+                               **{"folds": 10, **options})
+        asked = _cache_fits(monkeypatch)
+        force_inline(monkeypatch)
+        rep = run_cv(cfg)
+        ds = experiments.load_dataset(cfg)
+        plan = stratified_folds(ds.labels, cfg.folds, experiments._unit_seed(cfg.seed, 0))
+        exhaustive_fits = len(cfg.grid) * cfg.folds * cfg.folds
+        assert len(asked) == rep["aggregate"]["select_fits"] + cfg.folds
+        for row in rep["rows"]:
+            train = split_rows(ds, plan.train_indices(row["fold"]))
+            grid_seed = experiments._unit_seed(cfg.seed, 0, row["fold"])
+            assert row["hidden"] == list(_exhaustive_selection(cfg, train, grid_seed))
+        assert sum(r["select_fits"] for r in rep["rows"]) == rep["aggregate"]["select_fits"]
+        assert rep["aggregate"]["select_fits"] <= exhaustive_fits
+        if cfg.grid == experiments.PAPER_GRID and cfg.seed == 0:  # the README cv line
+            assert rep["aggregate"]["select_fits"] < exhaustive_fits == 1200
+
+    def test_single_width_and_layers_count_every_fit(self, tmp_path):
+        grid = run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path / "grid"), seed=2,
+                                       trials=2, folds=4, grid=(5,), pattern="exp2"))
+        assert [r["select_fits"] for r in grid["rows"]] == [4] * 8
+        assert grid["aggregate"]["select_fits"] == 2 * 4 * 4
+        layers = run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path / "layers"),
+                                         seed=2, trials=1, folds=4, layers=(5,)))
+        assert [r["select_fits"] for r in layers["rows"]] == [0] * 4
+        assert layers["aggregate"]["select_fits"] == 0
+
+    @staticmethod
+    def _scripted(monkeypatch, accs):
+        """Select over the widths of ``accs`` with inner fold f of width h
+        scoring ``accs[h][f]``; returns the picked width and the (h, fold)
+        pairs in the order they were fit."""
+        k = len(next(iter(accs.values())))
+        trial_seed = 17
+        fold_of = {(h, experiments._unit_seed(trial_seed, h, f)): f
+                   for h in accs for f in range(k)}
+        visits = []
+
+        def train_once(cfg, x, y, hidden, seed):
+            visits.append((hidden[0], fold_of[hidden[0], seed]))
+            return visits[-1], None
+
+        monkeypatch.setattr(experiments, "_train_once", train_once)
+        monkeypatch.setattr(experiments, "_test_error", lambda net, test: 1.0 - accs[net[0]][net[1]])
+        cfg = ExperimentConfig(grid=tuple(accs), pattern="exp2", folds=k)
+        hidden, fits = experiments._select_hidden(cfg, load_iris(), trial_seed)
+        assert fits == len(visits)
+        return hidden[0], visits
+
+    # accuracies are multiples of 1/8, so every sum below is exact
+    def test_a_later_width_that_ties_is_run_out_and_not_picked(self, monkeypatch):
+        picked, visits = self._scripted(monkeypatch, {1: [.5] * 4, 2: [.5] * 4,
+                                                      3: [.25, .75, .5, .5]})
+        assert picked == 1
+        assert len(visits) == 12
+
+    def test_a_bound_that_reaches_a_tie_runs_on_and_one_below_stops(self, monkeypatch):
+        """The incumbent sums 3.0.  Width 2's bound after its first fold is
+        0 + 3 folds left = 3.0, a tie: it runs all four folds (a tie never
+        wins, but the 1e-9 margin only stops a width clearly below).  Width
+        3's bound after its second fold is 0.75 + 2 = 2.75: stopped there."""
+        picked, visits = self._scripted(monkeypatch, {1: [.75] * 4, 2: [0, 1, 1, 1],
+                                                      3: [0, .75, 1, 1]})
+        assert picked == 1
+        assert [v for v in visits if v[0] == 2] == [(2, 0), (2, 1), (2, 2), (2, 3)]
+        assert [v for v in visits if v[0] == 3] == [(3, 0), (3, 1)]
+
+    def test_folds_go_hardest_first_and_a_loser_stops(self, monkeypatch):
+        """After width 1 the fold sums are (1, .5, .75, .5), so width 2 visits
+        folds 1, 3, 2, 0; its bound is 3.5, then 2.75 (a tie with the
+        incumbent's 2.75), then 2.5, where it stops."""
+        picked, visits = self._scripted(monkeypatch, {1: [1, .5, .75, .5],
+                                                      2: [1, .5, .75, .25]})
+        assert picked == 1
+        assert visits[4:] == [(2, 1), (2, 3), (2, 2)]
+
+    def test_a_width_that_wins_on_its_last_fold_is_not_stopped(self, monkeypatch):
+        """Width 2 trails the incumbent on the three folds it visits first
+        (1.875 against 2.0) and wins with its last one (2.875 against 2.75)."""
+        picked, visits = self._scripted(monkeypatch, {1: [.75, .75, .75, .5],
+                                                      2: [.625, 1, 1, .25]})
+        assert picked == 2
+        assert visits[4:] == [(2, 3), (2, 0), (2, 1), (2, 2)]
+
+    def test_the_first_width_is_never_stopped(self, monkeypatch):
+        picked, visits = self._scripted(monkeypatch, {5: [0, 0, 0, 0], 8: [0, 0, 0, 0]})
+        assert picked == 5
+        assert visits[:4] == [(5, 0), (5, 1), (5, 2), (5, 3)]
 
 
 # exercised in a worker: unit (0, 2) of this run overflows (lr 1e148, seed 0);
