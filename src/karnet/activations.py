@@ -29,11 +29,12 @@ def clamp(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _clip(m, LO, HI, out=out)
 
 
-def logit(a: np.ndarray) -> np.ndarray:
-    """log(a / (1 - a)) of already-clamped values in one new buffer; out=
+def logit(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(a / (1 - a)) of already-clamped values, into ``out`` when one is
+    given (``a`` itself among them) and else into one new buffer; out=
     keeps a 0-d input an array."""
     r = np.subtract(1.0, a, out=np.empty_like(a))
-    np.divide(a, r, out=r)
+    r = np.divide(a, r, out=r if out is None else out)
     return np.log(r, out=r)
 
 
@@ -49,11 +50,12 @@ def apply_logit(m) -> np.ndarray:
     return logit(clamp(np.asarray(m, dtype=np.float64)))
 
 
-def apply_sigmoid(m) -> np.ndarray:
-    """Apply the sigmoid elementwise, then clamp into the band."""
+def apply_sigmoid(m, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the sigmoid elementwise, then clamp into the band, into ``out``
+    when one is given (``m`` itself among them)."""
     a = np.asarray(m, dtype=np.float64)
     # 1 / (1 + exp(-z)) in the clip's buffer; the clip keeps exp from overflowing
-    z = np.clip(a, -700.0, 700.0, out=np.empty_like(a))
+    z = np.clip(a, -700.0, 700.0, out=np.empty_like(a) if out is None else out)
     np.negative(z, out=z)
     np.exp(z, out=z)
     np.add(1.0, z, out=z)

@@ -117,8 +117,10 @@ def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
     and its pre-activation clamped into the activation domain, in that
     order; backpropagation reads them from there.  A cache already holding
     arrays of those shapes (filled earlier for this net's layer sizes and
-    row count) is refilled in place, any other emptied first.  The output
-    is always a new array.
+    row count) is refilled in place, any other emptied first.  Without a
+    cache, each layer's input goes once it is multiplied and logit runs in
+    place on the pre-activation, so no more than two activation-sized
+    arrays are alive.  The output is always a new array.
     """
     xm = np.asarray(x, dtype=np.float64)
     if xm.ndim != 2 or xm.shape[1] != net.spec.input_dim:
@@ -134,11 +136,17 @@ def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
         a = cache[2 * k] if refill else np.empty(shapes[2 * k])
         a[:, 0] = 1.0
         a[:, 1:] = g
+        del g
         z = np.matmul(a, w, out=cache[2 * k + 1] if refill else None)
         clamp(z, out=z)
-        if cache is not None and not refill:
-            cache += (a, z)
-        g = logit(z)
+        if cache is None:
+            del a
+            g = logit(z, out=z)
+        else:
+            if not refill:
+                cache += (a, z)
+            g = logit(z)
+        del z
     return g
 
 
@@ -148,15 +156,17 @@ def save_network(net: Network, path) -> None:
     weight is a NumericalError, and no file is written."""
     if not all(np.isfinite(w).all() for w in net.weights):
         raise NumericalError("weights hold a non-finite value; no weights file is written")
+    # orjson writes a contiguous float64 array with the digits it writes
+    # for the same Python floats, and no float list is built
     payload = {
         "spec": net.spec.to_dict(),
         "weights": [
-            {"rows": w.shape[0], "cols": w.shape[1], "data": w.ravel().tolist()}
+            {"rows": w.shape[0], "cols": w.shape[1],
+             "data": np.ascontiguousarray(w, dtype=np.float64).ravel()}
             for w in net.weights
         ],
     }
-    data = orjson.dumps(payload, option=orjson.OPT_SORT_KEYS)
-    del payload  # the float lists go before the write
+    data = orjson.dumps(payload, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY)
     with open(path, "wb") as fh:
         fh.write(data)
 

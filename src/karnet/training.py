@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .activations import apply_logit, apply_sigmoid
+from .activations import apply_logit, apply_sigmoid, clamp, logit
 from .errors import ConfigError, DimensionError, NumericalError
 from .linalg import as_matrix, lstsq, require_rank
 from .network import Network, NetworkSpec, add_bias_column
@@ -121,10 +121,14 @@ def _orthonormal_layer(rng: np.random.Generator, shape: tuple[int, int]) -> np.n
     return np.vstack([bias, node if p >= q else node.T])
 
 
-def _finite_or_raise(m: np.ndarray, layer: int, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise NumericalError(f"non-finite {what} at layer {layer}")
-    return m
+def _activation_matrix(z: np.ndarray, layer: int) -> np.ndarray:
+    """``[1, f(z)]`` for the pre-activation ``z`` of ``layer``, which must be
+    finite and is overwritten: clamped and taken through logit in place, so
+    that besides ``z`` the step holds one activation-sized array at a time
+    (logit's scratch, then ``[1, G]``)."""
+    if not np.all(np.isfinite(z)):
+        raise NumericalError(f"non-finite pre-activation at layer {layer}")
+    return add_bias_column(logit(clamp(z, out=z), out=z))
 
 
 def _solve(a: np.ndarray, b: np.ndarray, rcond, what: str) -> np.ndarray:
@@ -171,11 +175,13 @@ def train_n_layer(
         weights[k - 1] = _orthonormal_layer(rng, shapes[k - 1])
 
     # peeling chain, outermost first (the bias row broadcasts: 1 w_k^T bit for
-    # bit); an entry peeled through a q-wide layer is within sqrt(q) of 0, so finite
+    # bit), the sigmoid taken in place on each product; an entry peeled
+    # through a q-wide layer is within sqrt(q) of 0, so finite
     peeled: list[np.ndarray | None] = [None] * (n + 1)
     peeled[n] = apply_sigmoid(ym)
     for k, wk in zip(range(n, 1, -1), reversed(weights[1:])):
-        peeled[k - 1] = apply_sigmoid((peeled[k] - wk[0, :]) @ wk[1:, :].T)
+        peeled[k - 1] = (peeled[k] - wk[0, :]) @ wk[1:, :].T
+        apply_sigmoid(peeled[k - 1], out=peeled[k - 1])
 
     # first layer from the fully peeled target, then layers 2..n in order,
     # each against its peeled target with the layers behind it still random;
@@ -184,9 +190,9 @@ def train_n_layer(
     weights[0] = _solve(a, peeled[1], rcond, "input matrix")
     for k in range(2, n + 1):
         peeled[k - 1] = None
-        z = _finite_or_raise(a @ weights[k - 2], k - 1, "pre-activation")
+        z = a @ weights[k - 2]
         del a
-        a = add_bias_column(apply_logit(z))
+        a = _activation_matrix(z, k - 1)
         del z
         weights[k - 1] = _solve(
             a, peeled[k], rcond, f"activation matrix of layer {k}"
@@ -255,9 +261,9 @@ def train_random_hidden(
         else:
             w = _centered_ridge(rng, a, h)
         weights.append(w)
-        z = _finite_or_raise(a @ w, k, "pre-activation")
+        z = a @ w
         del a  # the old activation matrix goes before the next one is made
-        a = add_bias_column(apply_logit(z))
+        a = _activation_matrix(z, k)
         del z
 
     target = apply_sigmoid(ym)

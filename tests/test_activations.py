@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from karnet.activations import CLAMP_EPS, HI, LO, apply_logit, apply_sigmoid, logit_deriv
+from karnet.activations import (
+    CLAMP_EPS, HI, LO, apply_logit, apply_sigmoid, clamp, logit, logit_deriv,
+)
 
 
 class TestApplyF:
@@ -107,6 +109,19 @@ class TestInPlaceEvaluation:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
                 assert view.tobytes() == before.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=12),
+                      elements=_ELEMENTS))
+    def test_out_set_to_the_input_gives_the_same_bits(self, m):
+        """The trainers and forward take sigmoid and logit in place on
+        buffers they own; the bits are those of the plain expressions."""
+        s = m.copy()
+        assert apply_sigmoid(s, out=s) is s
+        assert s.tobytes() == np.asarray(_old_apply_sigmoid(m)).tobytes()
+        z = m.copy()
+        assert logit(clamp(z, out=z), out=z) is z
+        assert z.tobytes() == np.asarray(_old_apply_logit(m)).tobytes()
 
     def test_python_scalar(self):
         assert float(apply_logit(0.3)) == float(_old_apply_logit(0.3))

@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -241,6 +242,37 @@ class TestSerialization:
             np.testing.assert_array_equal(c.view(np.uint64), w.view(np.uint64))
         save_network(net, tmp_path / "new.json")
         assert json.loads((tmp_path / "new.json").read_bytes()) == json.loads(old)
+
+    def test_file_matches_the_float_list_route_byte_for_byte(self, tmp_path):
+        """The writer hands orjson each weight matrix as a float64 array;
+        the file must hold the same bytes as one written from ``tolist()``
+        float lists, on values spread over every exponent with signed
+        zeros, subnormals and the extreme doubles among them."""
+        spec = NetworkSpec(input_dim=399, hidden=(500,), output_dim=3, seed=11)
+        (r1, c1), (r2, c2) = spec.weight_shapes
+        n = r1 * c1 + r2 * c2
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**63, size=n, dtype=np.uint64) | (
+            rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63))
+        values = bits.view(np.float64)
+        values = np.where(np.isfinite(values), values, 1.0)
+        values[:8] = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      1.7976931348623157e308, 0.1 + 0.2, 1e16]
+        net = Network(spec=spec, weights=[
+            values[: r1 * c1].reshape(r1, c1),
+            # a transposed view: the writer must flatten it row-major
+            values[r1 * c1:].reshape(c2, r2).T,
+        ])
+        save_network(net, tmp_path / "weights.json")
+        payload = {
+            "spec": spec.to_dict(),
+            "weights": [
+                {"rows": w.shape[0], "cols": w.shape[1], "data": w.ravel().tolist()}
+                for w in net.weights
+            ],
+        }
+        want = orjson.dumps(payload, option=orjson.OPT_SORT_KEYS)
+        assert (tmp_path / "weights.json").read_bytes() == want
 
     def test_file_with_a_seed_beyond_uint64_is_data_error(self, tmp_path):
         net = initial_network(NetworkSpec(input_dim=2, hidden=(), output_dim=1))

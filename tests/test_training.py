@@ -265,29 +265,60 @@ class TestReportFromOwnActivations:
             assert rep.train_error_rate == error_rate(g, ds.y)
 
     def test_fit_working_set_is_a_small_multiple_of_the_output_matrix(self):
-        """Peak traced memory of one tall fit stays within 4x the bytes of
-        [1, G_{n-1}]. The peak (about 3.1x) comes while that matrix is built:
-        the pre-activation, its activation and the matrix itself.  With two
-        random hidden layers the first layer's matrix is gone by then."""
-        import tracemalloc
-
-        m, d, h, q = 5000, 16, 256, 4
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0.01, 0.99, size=(m, d))
-        y = np.eye(q)[rng.integers(0, q, size=m)]
-        for trainer, hidden in ((train_n_layer, (h,)), (train_random_hidden, (h, h))):
+        """Peak traced memory of one tall fit, in units of the bytes of
+        [1, G] (m x (h + 1)).  A layer step holds its pre-activation and one
+        more activation-sized array: logit's scratch, then [1, G], so one
+        hidden layer peaks near 2x (LAPACK's copy of [1, G] is not traced).
+        With two hidden layers, train_random_hidden has dropped the first
+        layer's matrix by then, while train_n_layer holds the second
+        layer's peeled target beside the step, near 3x."""
+        x, y = _tall_problem()
+        for trainer, hidden, bound in (
+            (train_n_layer, (_H,), 2.25),
+            (train_random_hidden, (_H,), 2.25),
+            (train_random_hidden, (_H, _H), 2.25),
+            (train_n_layer, (_H, _H), 3.25),
+        ):
             spec = spec_for(x, y, hidden, seed=3)
-            started = not tracemalloc.is_tracing()
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                trainer(x, y, spec)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                if started:
-                    tracemalloc.stop()
-            assert peak <= 4 * m * (h + 1) * 8, trainer.__name__
+            peak = _traced_peak(lambda: trainer(x, y, spec))
+            assert peak <= bound * x.shape[0] * (_H + 1) * 8, (trainer.__name__, hidden)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_uncached_forward_holds_two_activation_matrices(self, depth):
+        """Without a cache, forward drops each layer's input once it is
+        multiplied and runs logit in place on the pre-activation, so its
+        peak stays near 2x the bytes of [1, G] however deep the net."""
+        x, y = _tall_problem()
+        net, _ = train_random_hidden(x, y, spec_for(x, y, (_H,) * depth, seed=3))
+        peak = _traced_peak(lambda: forward(net, x))
+        assert peak <= 2.25 * x.shape[0] * (_H + 1) * 8
+
+
+_H = 256
+
+
+def _tall_problem():
+    """5,000 rows of 16 features and 4 one-hot classes: m >> h."""
+    m, d, q = 5000, 16, 4
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.01, 0.99, size=(m, d))
+    return x, np.eye(q)[rng.integers(0, q, size=m)]
+
+
+def _traced_peak(call) -> int:
+    """Bytes ``call()`` adds to tracemalloc's peak, its result included."""
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def _hidden_full_rank(net, x, m):
