@@ -25,7 +25,6 @@ __all__ = [
     "Dataset",
     "FoldPlan",
     "load_csv",
-    "write_csv",
     "scale_minmax",
     "apply_scaling",
     "encode_one_vs_all",
@@ -209,18 +208,6 @@ def _parse_cells(text: str, path, label_column: int, has_header: bool):
             f"non-finite feature cell {row[col].strip()!r}", row=lineno, column=col + 1
         )
     return x, names
-
-
-def write_csv(ds: Dataset, path, label_names: list[str] | None = None) -> None:
-    """Write features plus trailing label column in canonical form."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh)
-        for i in range(ds.n_samples):
-            row = [repr(float(v)) for v in ds.x[i]]
-            if ds.labels is not None:
-                lab = int(ds.labels[i])
-                row.append(label_names[lab] if label_names else str(lab))
-            out.writerow(row)
 
 
 def _fit_scaling(x: np.ndarray) -> list[tuple[float, float]]:

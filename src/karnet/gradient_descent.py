@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activations import HI, LO, apply_sigmoid, logit_deriv
+from .activations import HI, LO, apply_sigmoid, clamp, logit, logit_deriv
 from .errors import ConfigError, NumericalError, check_finite
-from .network import Network, NetworkSpec, forward
+from .network import Network, NetworkSpec
 from .training import TrainReport, _check_spec, _finish_report
 
 __all__ = ["initial_network", "train_gd", "GradientCheck", "check_gradient"]
@@ -49,24 +49,42 @@ def initial_network(spec: NetworkSpec) -> Network:
     return Network(spec=spec, weights=weights)
 
 
-def _sse_and_gradients(net: Network, xm: np.ndarray, ym: np.ndarray, cache: list, scratch: list):
-    """SSE and gradients at ``net`` on checked ``xm`` and ``ym``: one forward
-    pass that refills ``cache``, one backprop through ``scratch``, whose
-    buffers it allocates when given an empty list.  The gradients are new."""
-    resid = forward(net, xm, cache)
+def _buffers(spec: NetworkSpec, xm: np.ndarray) -> list[tuple]:
+    """The arrays a descent step fills, allocated once per fit.  Per layer:
+    its input ``[1, G_{k-1}]``, layer 1's holding ``xm`` already; its
+    clamped pre-activation c; f'(c) * delta * mask and its two masks; and
+    the delta passed down."""
+    m = xm.shape[0]
+    bufs = [(np.ones((m, rows)), np.empty((m, cols)), np.empty((m, cols)),
+             np.empty((m, cols), bool), np.empty((m, cols), bool), np.empty((m, rows)))
+            for rows, cols in spec.weight_shapes]
+    bufs[0][0][:, 1:] = xm
+    return bufs
+
+
+def _fill(net: Network, bufs: list) -> np.ndarray:
+    """One forward pass through ``bufs``: each layer's clamped
+    pre-activation, whose logit goes straight into the next layer's input.
+    Returns the output, a new array."""
+    for k, (w, (a, c, *_)) in enumerate(zip(net.weights, bufs), start=1):
+        clamp(np.matmul(a, w, out=c), out=c)
+        g = logit(c, out=bufs[k][0][:, 1:] if k < len(bufs) else None)
+    return g
+
+
+def _sse_and_gradients(net: Network, ym: np.ndarray, bufs: list):
+    """SSE and gradients at ``net`` against checked ``ym``: one forward pass
+    and one backprop through ``bufs``, which ``_buffers`` made for this
+    net's sizes and inputs.  The gradients are new."""
+    resid = _fill(net, bufs)
     resid -= ym
-    if not scratch:
-        # per layer: f'(c) * delta * mask and its two masks; the delta passed down
-        scratch += [(np.empty(c.shape), np.empty(c.shape, bool), np.empty(c.shape, bool), np.empty(a.shape))
-                    for a, c in zip(cache[::2], cache[1::2])]
-    loss = float(np.add.reduce(np.multiply(resid, resid, out=scratch[-1][0]), axis=None))
+    loss = float(np.add.reduce(np.multiply(resid, resid, out=bufs[-1][2]), axis=None))
     # f'(c) at each layer's clamped pre-activation c, zeroed where the clamp
     # was active; testing c against the band equals testing the unclamped value
     delta = np.multiply(2.0, resid, out=resid)
     grads = [None] * len(net.weights)
     for k in range(len(net.weights) - 1, -1, -1):
-        a, c = cache[2 * k], cache[2 * k + 1]
-        d, above, below, down = scratch[k]
+        a, c, d, above, below, down = bufs[k]
         np.multiply(delta, logit_deriv(c, out=d), out=d)
         mask = np.bitwise_and(np.greater(c, LO, out=above), np.less(c, HI, out=below), out=above)
         np.multiply(d, mask, out=d)
@@ -82,8 +100,8 @@ def train_gd(
 ) -> tuple[Network, TrainReport]:
     """Full-batch descent on output-space SSE for ``max_iters`` (>= 1) steps
     of size ``learning_rate`` (finite and >= 0), the gradient's global norm
-    clipped to ``gradient_clip`` (finite and > 0) when set; the forward
-    cache and backprop buffers are allocated once per fit."""
+    clipped to ``gradient_clip`` (finite and > 0) when set; every step
+    fills the one set of ``_buffers`` the fit allocates."""
     t0 = time.perf_counter()
     check_finite("learning_rate", learning_rate, positive=False)
     if max_iters < 1:
@@ -91,9 +109,9 @@ def train_gd(
     check_finite("gradient_clip", gradient_clip, positive=True)
     xm, ym = _check_spec(spec, x, y)
     net = initial_network(spec)
-    cache, scratch = [], []
+    bufs = _buffers(spec, xm)
     for it in range(max_iters):
-        loss, grads = _sse_and_gradients(net, xm, ym, cache, scratch)
+        loss, grads = _sse_and_gradients(net, ym, bufs)
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at iteration {it}")
         if gradient_clip is not None:
@@ -102,9 +120,9 @@ def train_gd(
                 grads = [g * (gradient_clip / gnorm) for g in grads]
         for w, g in zip(net.weights, grads):
             w -= np.multiply(learning_rate, g, out=g)
-    forward(net, xm, cache)
+    _fill(net, bufs)
     return net, _finish_report(
-        net, cache[-2], apply_sigmoid(ym), ym, t0, trainer="gd",
+        net, bufs[-1][0], apply_sigmoid(ym), ym, t0, trainer="gd",
         iterations=max_iters, init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
     )
 
@@ -128,16 +146,17 @@ def check_gradient(net: Network, x, y) -> GradientCheck:
     if total > 200:
         raise ConfigError(f"gradient check limited to 200 weights, got {total}")
     xm, ym = _check_spec(net.spec, x, y)
-    _, grads = _sse_and_gradients(net, xm, ym, [], [])
+    bufs = _buffers(net.spec, xm)
+    _, grads = _sse_and_gradients(net, ym, bufs)
     step = 1e-5
     worst = 0.0
     for w, g in zip(net.weights, grads):
         for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + step
-            up = _sse_and_gradients(net, xm, ym, [], [])[0]
+            up = _sse_and_gradients(net, ym, bufs)[0]
             w[idx] = orig - step
-            dn = _sse_and_gradients(net, xm, ym, [], [])[0]
+            dn = _sse_and_gradients(net, ym, bufs)[0]
             w[idx] = orig
             numeric = (up - dn) / (2.0 * step)
             worst = max(worst, abs(numeric - g[idx]) / max(abs(numeric), abs(g[idx]), 1e-8))

@@ -27,6 +27,7 @@ __all__ = [
     "NetworkSpec",
     "Network",
     "add_bias_column",
+    "activate",
     "forward",
     "save_network",
     "load_network",
@@ -72,13 +73,12 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        """Read a dict form; an activation other than ``ACTIVATION`` is a DataError."""
-        spec = cls(
-            input_dim=int(d["input_dim"]),
-            hidden=tuple(d["hidden"]),
-            output_dim=int(d["output_dim"]),
-            seed=int(d.get("seed", 0)),
-        )
+        """Read a dict form; a size or seed other than a JSON integer, or an
+        activation other than ``ACTIVATION``, is a DataError."""
+        *sizes, seed = d["input_dim"], *d["hidden"], d["output_dim"], d.get("seed", 0)
+        if not all(type(v) is int for v in (*sizes, seed)):  # a bool is no JSON integer
+            raise DataError(f"layer sizes and seed must be integers, got {sizes} and {seed!r}")
+        spec = cls(input_dim=sizes[0], hidden=tuple(sizes[1:-1]), output_dim=sizes[-1], seed=seed)
         name = d.get("activation", ACTIVATION)
         if name != ACTIVATION:
             raise DataError(f"unknown activation pair {name!r} (known: {ACTIVATION})")
@@ -110,43 +110,31 @@ def add_bias_column(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def forward(net: Network, x, cache: list | None = None) -> np.ndarray:
-    """Forward pass: activation applied after every layer's matrix product.
+def activate(z: np.ndarray, layer: int) -> np.ndarray:
+    """The layer step f on ``layer``'s pre-activation ``z``, which must be
+    finite and is overwritten: clamped into the activation domain and taken
+    through logit in place.  Returns ``z``."""
+    if not np.all(np.isfinite(z)):
+        raise NumericalError(f"non-finite pre-activation at layer {layer}")
+    return logit(clamp(z, out=z), out=z)
 
-    Given a ``cache`` list, each layer stores its input ``[1, G_{k-1}]``
-    and its pre-activation clamped into the activation domain, in that
-    order; backpropagation reads them from there.  A cache already holding
-    arrays of those shapes (filled earlier for this net's layer sizes and
-    row count) is refilled in place, any other emptied first.  Without a
-    cache, each layer's input goes once it is multiplied and logit runs in
-    place on the pre-activation, so no more than two activation-sized
-    arrays are alive.  The output is always a new array.
-    """
+
+def forward(net: Network, x) -> np.ndarray:
+    """Forward pass: ``activate`` after every layer's product with its
+    input ``[1, G_{k-1}]``, which goes once multiplied, so no more than two
+    activation-sized arrays are alive.  The output is a new array."""
     xm = np.asarray(x, dtype=np.float64)
     if xm.ndim != 2 or xm.shape[1] != net.spec.input_dim:
         raise DimensionError(
             f"input must be (m, {net.spec.input_dim}), got {xm.shape}"
         )
-    shapes = [(xm.shape[0], n) for w in net.weights for n in w.shape]
-    if cache is not None and [b.shape for b in cache] != shapes:
-        cache.clear()
-    refill = bool(cache)
     g = xm
-    for k, w in enumerate(net.weights):
-        a = cache[2 * k] if refill else np.empty(shapes[2 * k])
-        a[:, 0] = 1.0
-        a[:, 1:] = g
+    for k, w in enumerate(net.weights, start=1):
+        a = add_bias_column(g)
         del g
-        z = np.matmul(a, w, out=cache[2 * k + 1] if refill else None)
-        clamp(z, out=z)
-        if cache is None:
-            del a
-            g = logit(z, out=z)
-        else:
-            if not refill:
-                cache += (a, z)
-            g = logit(z)
-        del z
+        g = a @ w
+        del a
+        activate(g, k)
     return g
 
 

@@ -36,10 +36,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .activations import apply_logit, apply_sigmoid, clamp, logit
+from .activations import apply_sigmoid
 from .errors import ConfigError, DimensionError, NumericalError
 from .linalg import as_matrix, lstsq, require_rank
-from .network import Network, NetworkSpec, add_bias_column
+from .network import Network, NetworkSpec, activate, add_bias_column
 
 __all__ = [
     "TrainReport",
@@ -121,16 +121,6 @@ def _orthonormal_layer(rng: np.random.Generator, shape: tuple[int, int]) -> np.n
     return np.vstack([bias, node if p >= q else node.T])
 
 
-def _activation_matrix(z: np.ndarray, layer: int) -> np.ndarray:
-    """``[1, f(z)]`` for the pre-activation ``z`` of ``layer``, which must be
-    finite and is overwritten: clamped and taken through logit in place, so
-    that besides ``z`` the step holds one activation-sized array at a time
-    (logit's scratch, then ``[1, G]``)."""
-    if not np.all(np.isfinite(z)):
-        raise NumericalError(f"non-finite pre-activation at layer {layer}")
-    return add_bias_column(logit(clamp(z, out=z), out=z))
-
-
 def _solve(a: np.ndarray, b: np.ndarray, rcond, what: str) -> np.ndarray:
     return require_rank(lstsq(a, b, rcond=rcond), what).theta
 
@@ -138,12 +128,14 @@ def _solve(a: np.ndarray, b: np.ndarray, rcond, what: str) -> np.ndarray:
 def _finish_report(
     net: Network, a: np.ndarray, target: np.ndarray, y: np.ndarray, t0: float, **fields
 ) -> TrainReport:
-    """Score the fit from the output layer's input ``a`` and transformed
-    target, bit for bit as a fresh ``forward`` would, with no new pass.
-    ``fields`` name the trainer and its counts."""
+    """Score the fit from the output layer's input ``a`` with no new pass:
+    the residual of the output layer's linear system against the
+    transformed ``target`` first, then the output through the layer step
+    ``activate``, bit for bit as ``forward`` computes it.  ``fields`` name
+    the trainer and its counts."""
     z = a @ net.weights[-1]
     r = z - target
-    g = apply_logit(z)
+    g = activate(z, net.spec.n_layers)
     return TrainReport(
         train_sse=float(np.sum((g - y) ** 2)),
         train_sse_transformed=float(np.sum(r * r)),
@@ -162,7 +154,9 @@ def train_n_layer(
     """Single-pass analytic trainer for n >= 1 layers; with n = 1 there is
     no random layer and the peeling chain is empty.  The spec's seed draws
     the random layers; ``rcond`` overrides ``lstsq``'s cutoff in every
-    solve.  The peel multiplies by node-block transposes and uses none."""
+    solve.  The peel multiplies by node-block transposes and uses none.
+    Each re-solved layer's activation matrix comes from the layer step
+    ``activate``, as in ``forward``."""
     t0 = time.perf_counter()
     xm, ym = _check_spec(spec, x, y)
     n = spec.n_layers
@@ -192,7 +186,7 @@ def train_n_layer(
         peeled[k - 1] = None
         z = a @ weights[k - 2]
         del a
-        a = _activation_matrix(z, k - 1)
+        a = add_bias_column(activate(z, k - 1))
         del z
         weights[k - 1] = _solve(
             a, peeled[k], rcond, f"activation matrix of layer {k}"
@@ -245,7 +239,8 @@ def train_random_hidden(
     network the output bias weight is pinned at zero, so the number of
     solved weights per output column equals the hidden size exactly; deeper
     networks solve the full output layer including its bias row.  ``rcond``
-    is the output solve's cutoff, as for ``train_n_layer``.
+    is the output solve's cutoff, as for ``train_n_layer``.  Each hidden
+    layer's output comes from the layer step ``activate``, as in ``forward``.
     """
     t0 = time.perf_counter()
     xm, ym = _check_spec(spec, x, y)
@@ -263,7 +258,7 @@ def train_random_hidden(
         weights.append(w)
         z = a @ w
         del a  # the old activation matrix goes before the next one is made
-        a = _activation_matrix(z, k)
+        a = add_bias_column(activate(z, k))
         del z
 
     target = apply_sigmoid(ym)

@@ -366,14 +366,14 @@ def run_cli_process(*argv):
 
 def _iris_csvs(tmp_path):
     """The 90/60 iris split as CSV files: train, test, test reversed."""
-    from karnet.data import iris_train_test_split, load_iris, split_rows, write_csv
+    from karnet.data import iris_train_test_split, load_iris, split_rows
 
     ds = load_iris()
     train, test = iris_train_test_split(ds)
     paths = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "test_rev.csv"
-    write_csv(train, paths[0], ds.class_names)
-    write_csv(test, paths[1], ds.class_names)
-    write_csv(split_rows(test, np.arange(test.n_samples)[::-1]), paths[2], ds.class_names)
+    for part, path in zip((train, test, split_rows(test, np.arange(test.n_samples)[::-1])), paths):
+        path.write_text("".join(",".join(map(repr, row)) + f",{ds.class_names[c]}\n"
+                                for row, c in zip(part.x.tolist(), part.labels.tolist())))
     return paths
 
 

@@ -22,7 +22,7 @@ from karnet import (
     stratified_folds,
 )
 from karnet import data
-from karnet.data import Dataset, iris_train_test_split, write_csv
+from karnet.data import Dataset, iris_train_test_split
 
 
 class TestLoadCsv:
@@ -74,16 +74,6 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             load_csv(tmp_path / "nope.csv", label_column=0)
-
-    def test_roundtrip_canonical(self, tmp_path):
-        src = tmp_path / "src.csv"
-        src.write_text("1.5,2,a\n3,4.25,b\n")
-        ds = load_csv(src, label_column=2)
-        back = tmp_path / "back.csv"
-        write_csv(ds, back, label_names=["a", "b"])
-        again = load_csv(back, label_column=2)
-        np.testing.assert_array_equal(ds.x, again.x)
-        np.testing.assert_array_equal(ds.labels, again.labels)
 
 
 # cells on which numpy's reader and float() might disagree, and clean ones
@@ -164,7 +154,8 @@ class TestLoadCsvRoutes:
         ds = Dataset(x=rng.normal(size=(1000, 4)), y=np.zeros((1000, 1)),
                      labels=rng.integers(0, 3, 1000))
         p = tmp_path / "t.csv"
-        write_csv(ds, p, label_names=["c", "a", "b"])
+        p.write_text("".join(",".join(map(repr, row)) + ",{}\n".format("cab"[c])
+                             for row, c in zip(ds.x.tolist(), ds.labels.tolist())))
 
         def refuse(*args):
             raise AssertionError("the per-cell loop read a clean file")

@@ -10,13 +10,15 @@ from karnet import (
     DimensionError,
     Network,
     NetworkSpec,
+    apply_logit,
     apply_sigmoid,
     check_gradient,
     forward,
     train_gd,
 )
 from karnet.activations import HI, LO
-from karnet.gradient_descent import _sse_and_gradients, initial_network
+from karnet.gradient_descent import _buffers, _sse_and_gradients, initial_network
+from karnet.network import add_bias_column
 from karnet.training import _finish_report
 
 
@@ -62,7 +64,7 @@ class TestCheckGradient:
         y = rng.uniform(0.1, 0.9, size=(4, 2))
         spec = NetworkSpec(input_dim=3, hidden=(), output_dim=2)
         net, _ = train_n_layer(x, y, spec)
-        _, grads = _sse_and_gradients(net, x, y, [], [])
+        _, grads = _sse_and_gradients(net, y, _buffers(spec, x))
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
         assert norm <= 1e-8
 
@@ -111,7 +113,7 @@ class TestTrainGd:
         ])
         y = np.vstack([np.full((5, 1), 0.2), np.full((5, 1), 0.8)])
         spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1, seed=0)
-        losses = [_sse_and_gradients(initial_network(spec), x, y, [], [])[0]]
+        losses = [_sse_and_gradients(initial_network(spec), y, _buffers(spec, x))[0]]
         for iters in range(1, 11):
             _, rep = train_gd(x, y, spec, learning_rate=1e-4, max_iters=iters)
             losses.append(rep.train_sse)
@@ -156,9 +158,8 @@ class TestTrainGd:
 
 
 def reference_descent(x, y, init, learning_rate, max_iters, gradient_clip):
-    """Plain full-batch descent from ``init``: a fresh forward cache and new
-    arrays on every step, each operation in the order ``train_gd`` applies
-    it."""
+    """Plain full-batch descent from ``init``: new arrays on every step,
+    each operation in the order ``train_gd`` applies it."""
     net = Network(spec=init.spec, weights=[w.copy() for w in init.weights])
     for _ in range(max_iters):
         cache, a = [], np.hstack([np.ones((x.shape[0], 1)), x])
@@ -196,9 +197,17 @@ def clamped_start(columns):
     return start
 
 
+def last_input(net, x):
+    """``[1, G_{n-1}]``, the output layer's input, by the bias-column chain."""
+    g = x
+    for w in net.weights[:-1]:
+        g = apply_logit(add_bias_column(g) @ w)
+    return add_bias_column(g)
+
+
 class TestBufferedDescent:
-    """``train_gd`` reuses its forward cache and backprop buffers across
-    steps; weights and reports stay those of a descent that reuses none."""
+    """``train_gd`` reuses its forward and backprop buffers across steps;
+    weights and reports stay those of a descent that reuses none."""
 
     @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
     @pytest.mark.parametrize("clip", [None, 1.0])
@@ -211,32 +220,31 @@ class TestBufferedDescent:
         want = reference_descent(x, y, start(spec), 0.05, 40, clip)
         for w, w_want in zip(net.weights, want.weights, strict=True):
             assert np.array_equal(w, w_want)
-        cache = []
-        forward(want, x, cache)
+        a = last_input(want, x)
         rep_want = _finish_report(
-            want, cache[-2], apply_sigmoid(y), y, 0.0,
+            want, a, apply_sigmoid(y), y, 0.0,
             trainer="gd", iterations=40, init_style=rep.init_style,
         )
         got, expected = dataclasses.asdict(rep), dataclasses.asdict(rep_want)
         del got["wall_time"], expected["wall_time"]
         assert got == expected
         if clamped is not None:
-            assert np.all(cache[-1][:, clamped] == HI)
+            assert np.all(np.clip(a @ want.weights[-1], LO, HI)[:, clamped] == HI)
 
     def test_a_step_leaves_the_last_steps_results_alone(self):
         x, y, spec = small_problem(12, m=9, hidden=(5, 3))
         net = initial_network(spec)
-        cache, scratch = [], []
-        loss, grads = _sse_and_gradients(net, x, y, cache, scratch)
+        bufs = _buffers(spec, x)
+        loss, grads = _sse_and_gradients(net, y, bufs)
         kept = [g.copy() for g in grads]
         for w, g in zip(net.weights, grads):
             w -= 0.5 * g
-        loss2, grads2 = _sse_and_gradients(net, x, y, cache, scratch)
+        loss2, grads2 = _sse_and_gradients(net, y, bufs)
         assert loss2 != loss
         for g, k, g2 in zip(grads, kept, grads2, strict=True):
             np.testing.assert_array_equal(g, k)
             assert g2 is not g and not np.array_equal(g2, g)
-        fresh_loss, fresh_grads = _sse_and_gradients(net, x, y, [], [])
+        fresh_loss, fresh_grads = _sse_and_gradients(net, y, _buffers(spec, x))
         assert fresh_loss == loss2
         for g2, f in zip(grads2, fresh_grads):
             np.testing.assert_array_equal(g2, f)

@@ -107,90 +107,20 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward(initial_network(spec), np.ones((4, 2)))
 
-
-def fresh_forward(net, x):
-    cache = []
-    return forward(net, x, cache), cache
-
-
-def assert_same_pass(got, want):
-    (out, cache), (out_want, cache_want) = got, want
-    np.testing.assert_array_equal(out, out_want)
-    assert len(cache) == len(cache_want)
-    for b, b_want in zip(cache, cache_want):
-        assert b.shape == b_want.shape
-        np.testing.assert_array_equal(b, b_want)
-
-
-class TestForwardCache:
-    """A cache ``forward`` filled is refilled in place for the same layer
-    sizes and row count, and rebuilt for anything else."""
-
-    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
-    def test_refilled_cache_matches_a_fresh_pass(self, hidden):
-        rng = np.random.default_rng(len(hidden))
-        net = initial_network(NetworkSpec(input_dim=3, hidden=hidden, output_dim=2, seed=4))
-        cache = []
-        first = forward(net, rng.uniform(0.1, 0.9, (7, 3)), cache)
-        kept = [b.copy() for b in cache]
-        buffers = list(cache)
-        for w in net.weights:
-            w += rng.normal(0.0, 0.3, w.shape)
-        x = rng.uniform(0.1, 0.9, (7, 3))
-        out = forward(net, x, cache)
-        assert all(b is k for b, k in zip(cache, buffers, strict=True))
-        assert out is not first and all(out is not b for b in cache)
-        assert_same_pass((out, cache), fresh_forward(net, x))
-        assert not all(np.array_equal(b, k) for b, k in zip(cache, kept))
-
-    def test_output_is_not_overwritten_by_the_next_pass(self):
-        rng = np.random.default_rng(1)
-        net = initial_network(NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=1))
-        cache = []
-        x1, x2 = rng.uniform(0.1, 0.9, (2, 6, 3))
-        out = forward(net, x1, cache)
-        kept = out.copy()
-        forward(net, x2, cache)
-        np.testing.assert_array_equal(out, kept)
-
-    @pytest.mark.parametrize("other_hidden, other_rows", [
-        ((4,), 9),      # same net, another row count
-        ((6,), 6),      # another hidden width
-        ((4, 2), 6),    # another depth
-        ((), 6),        # fewer layers
-    ])
-    def test_cache_of_another_shape_is_rebuilt(self, other_hidden, other_rows):
-        rng = np.random.default_rng(2)
-        net = initial_network(NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=2))
-        other = initial_network(NetworkSpec(input_dim=3, hidden=other_hidden, output_dim=2, seed=3))
-        cache = []
-        forward(other, rng.uniform(0.1, 0.9, (other_rows, 3)), cache)
-        stale = list(cache)
-        x = rng.uniform(0.1, 0.9, (6, 3))
-        out = forward(net, x, cache)
-        assert not any(b is s for b in cache for s in stale)
-        assert_same_pass((out, cache), fresh_forward(net, x))
-
-    def test_cache_of_foreign_arrays_is_rebuilt(self):
-        net = initial_network(NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=5))
-        x = np.random.default_rng(5).uniform(0.1, 0.9, (6, 3))
-        for cache in ([np.zeros((6, 4))], [np.zeros((6, 4)), np.zeros((6, 4)), np.zeros((6, 5)), np.zeros((6, 3))]):
-            out = forward(net, x, cache)
-            assert_same_pass((out, cache), fresh_forward(net, x))
-
-    def test_cache_of_another_net_of_the_same_sizes_is_refilled(self):
-        spec = NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=6)
-        net = initial_network(spec)
-        other = Network(spec=spec, weights=[w[::-1].copy() for w in net.weights])
-        x = np.random.default_rng(6).uniform(0.1, 0.9, (6, 3))
-        cache = []
-        forward(other, x, cache)
-        out = forward(net, x, cache)
-        assert_same_pass((out, cache), fresh_forward(net, x))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_numerical_error(self, bad):
+        """A NaN or infinite feature makes a pre-activation non-finite,
+        which the layer step refuses instead of passing NaN on."""
+        net = initial_network(NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=8))
+        x = np.random.default_rng(8).uniform(0.1, 0.9, (5, 3))
+        x[2, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalError, match="non-finite pre-activation at layer 1"):
+            forward(net, x)
 
     def test_uncached_pass_matches_the_bias_column_chain(self):
-        """Without a cache the output is, bit for bit, f applied after each
-        layer's product with the input and a prepended ones column."""
+        """The output is, bit for bit, f applied after each layer's product
+        with the input and a prepended ones column."""
         rng = np.random.default_rng(7)
         net = initial_network(NetworkSpec(input_dim=3, hidden=(5, 3), output_dim=2, seed=7))
         x = rng.uniform(0.1, 0.9, (8, 3))
@@ -273,6 +203,23 @@ class TestSerialization:
         }
         want = orjson.dumps(payload, option=orjson.OPT_SORT_KEYS)
         assert (tmp_path / "weights.json").read_bytes() == want
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", [1.9]), ("hidden", [True]), ("hidden", "1"), ("input_dim", 2.5),
+        ("input_dim", "2"), ("output_dim", "1"), ("output_dim", 1.0), ("seed", "7"),
+        ("seed", 7.0), ("seed", False),
+    ])
+    def test_file_with_a_non_integer_size_or_seed_is_data_error(self, tmp_path, key, value):
+        """Sizes and the seed must be JSON integers; nothing is truncated
+        or parsed from a string into one, even where the result would fit
+        the stored weights."""
+        net = initial_network(NetworkSpec(input_dim=2, hidden=(1,), output_dim=1))
+        save_network(net, tmp_path / "weights.json")
+        payload = json.loads((tmp_path / "weights.json").read_bytes())
+        payload["spec"][key] = value
+        (tmp_path / "weights.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="sizes and seed must be integers"):
+            load_network(tmp_path / "weights.json")
 
     def test_file_with_a_seed_beyond_uint64_is_data_error(self, tmp_path):
         net = initial_network(NetworkSpec(input_dim=2, hidden=(), output_dim=1))

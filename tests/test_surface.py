@@ -1,6 +1,7 @@
 """The package's public surface: exported names resolve, the README's
-library quick start runs as written and its CLI quick start parses, and no
-module imports a name it never uses."""
+library quick start runs as written and its CLI quick start parses, no
+module imports a name it never uses, and no function or class goes
+uncalled."""
 
 import ast
 import importlib
@@ -90,3 +91,28 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_imports(name):
     assert _unused_imports(SRC / name) == []
+
+
+def _uncalled_definitions() -> list[str]:
+    """Module-level functions and classes of ``src/karnet/`` that no code
+    there reads (a read inside the definition itself, or a listing in an
+    ``__all__``, does not count) and that ``karnet.__all__`` does not export."""
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.append((own, f"{path.name}:{stmt.lineno}: {own}"))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    read.add(name)
+    return [where for name, where in defined
+            if name not in read and name not in karnet.__all__]
+
+
+def test_no_uncalled_code():
+    assert _uncalled_definitions() == []

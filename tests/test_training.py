@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from karnet import (
     NetworkSpec,
+    apply_logit,
     apply_sigmoid,
     error_rate,
     forward,
@@ -18,6 +19,7 @@ from karnet import (
 )
 from karnet.errors import RankDeficiencyError
 from karnet.linalg import lstsq, pinv, require_rank
+from karnet.network import add_bias_column
 from karnet.training import _orthonormal_layer
 
 
@@ -28,11 +30,12 @@ def spec_for(x, y, hidden, seed=0):
 
 
 def phi_space_sse(net, x, y):
-    """SSE of the output layer's linear system against phi(Y): its input,
-    read from the forward pass's cache, times its weights."""
-    cache = []
-    forward(net, x, cache)
-    r = cache[-2] @ net.weights[-1] - apply_sigmoid(y)
+    """SSE of the output layer's linear system against phi(Y): its input
+    ``[1, G_{n-1}]``, built by the bias-column chain, times its weights."""
+    g = x
+    for w in net.weights[:-1]:
+        g = apply_logit(add_bias_column(g) @ w)
+    r = add_bias_column(g) @ net.weights[-1] - apply_sigmoid(y)
     return float(np.sum(r * r))
 
 
@@ -87,9 +90,6 @@ class TestTwoLayer:
         layer off phi(Y) through its node block's transpose, solve the hidden
         layer, re-solve the output layer; each data-side solve is the
         library's one least-squares routine."""
-        from karnet import apply_logit
-        from karnet.network import add_bias_column
-
         ds = make_xor(perturbed=True)
         spec = spec_for(ds.x, ds.y, (2,), seed=3)
         w2 = _orthonormal_layer(np.random.default_rng(3), (3, 1))
@@ -284,10 +284,10 @@ class TestReportFromOwnActivations:
             assert peak <= bound * x.shape[0] * (_H + 1) * 8, (trainer.__name__, hidden)
 
     @pytest.mark.parametrize("depth", [1, 3])
-    def test_uncached_forward_holds_two_activation_matrices(self, depth):
-        """Without a cache, forward drops each layer's input once it is
-        multiplied and runs logit in place on the pre-activation, so its
-        peak stays near 2x the bytes of [1, G] however deep the net."""
+    def test_forward_holds_two_activation_matrices(self, depth):
+        """forward drops each layer's input once it is multiplied and runs
+        the layer step in place on the pre-activation, so its peak stays
+        near 2x the bytes of [1, G] however deep the net."""
         x, y = _tall_problem()
         net, _ = train_random_hidden(x, y, spec_for(x, y, (_H,) * depth, seed=3))
         peak = _traced_peak(lambda: forward(net, x))
@@ -322,9 +322,6 @@ def _traced_peak(call) -> int:
 
 
 def _hidden_full_rank(net, x, m):
-    from karnet.network import add_bias_column
-    from karnet import apply_logit
-
     h = apply_logit(add_bias_column(x) @ net.weights[0])
     s = np.linalg.svd(h, compute_uv=False)
     return np.sum(s > max(h.shape) * np.finfo(float).eps * s[0]) >= m
