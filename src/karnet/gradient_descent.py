@@ -65,7 +65,9 @@ def _buffers(spec: NetworkSpec, xm: np.ndarray) -> list[tuple]:
 def _fill(net: Network, bufs: list) -> np.ndarray:
     """One forward pass through ``bufs``: each layer's clamped
     pre-activation, whose logit goes straight into the next layer's input.
-    Returns the output, a new array."""
+    Backprop reads the clamped values, so ``network.activate``, which takes
+    logit over them in place, does not serve here.  Returns the output, a
+    new array."""
     for k, (w, (a, c, *_)) in enumerate(zip(net.weights, bufs), start=1):
         clamp(np.matmul(a, w, out=c), out=c)
         g = logit(c, out=bufs[k][0][:, 1:] if k < len(bufs) else None)
