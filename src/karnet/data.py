@@ -302,16 +302,9 @@ def load_iris() -> Dataset:
 
 
 def split_rows(ds: Dataset, indices) -> Dataset:
-    """Row-subset a dataset, keeping labels and class count."""
+    """Row-subset a dataset; every field but the rows carries over."""
     idx = np.asarray(indices, dtype=np.intp)
-    return Dataset(
-        x=ds.x[idx],
-        y=ds.y[idx],
-        labels=None if ds.labels is None else ds.labels[idx],
-        scaling=ds.scaling,
-        class_count=ds.class_count,
-        class_names=ds.class_names,
-    )
+    return replace(ds, x=ds.x[idx], y=ds.y[idx], labels=None if ds.labels is None else ds.labels[idx])
 
 
 def iris_train_test_split(ds: Dataset) -> tuple[Dataset, Dataset]:

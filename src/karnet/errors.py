@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the one range check
-that the run config and the trainers apply to numeric options.
+"""Exception hierarchy shared across the package, and the range checks on
+numeric options and seeds that the config, spec, solvers and trainers share.
 
 The CLI maps these onto exit codes: configuration problems exit 2,
 data/parse problems exit 3, numerical failures exit 4.
@@ -51,3 +51,9 @@ def check_finite(name: str, value: float | None, positive: bool) -> None:
         return
     if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
         raise ConfigError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ConfigError unless ``seed`` is in [0, 2**64), as numpy and a weights file need."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")

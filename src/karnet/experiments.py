@@ -33,8 +33,8 @@ from .data import (
     split_rows,
     stratified_folds,
 )
-from .errors import ConfigError, DataError, NumericalError, check_finite
-from .gradient_descent import train_gd
+from .errors import ConfigError, DataError, NumericalError, check_finite, check_seed
+from .gradient_descent import check_options, train_gd
 from .network import Network, NetworkSpec, forward
 from .training import error_rate, train_n_layer, train_random_hidden
 
@@ -83,16 +83,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown architecture pattern {self.pattern!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         if max(self.trials, self.folds, self.max_iters) >= 2**64:
             raise ConfigError("trials, folds and max_iters must be below 2**64")
         if any(h < 1 for h in self.grid):
             raise ConfigError(f"grid values must be >= 1, got {self.grid}")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        check_finite("learning_rate", self.learning_rate, positive=False)
-        check_finite("gradient_clip", self.gradient_clip, positive=True)
+        check_options(self.learning_rate, self.max_iters, self.gradient_clip)
         check_finite("rcond", self.rcond, positive=False)
 
     def hidden_for(self, h: int) -> tuple[int, ...]:

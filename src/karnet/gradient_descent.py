@@ -96,19 +96,24 @@ def _sse_and_gradients(net: Network, ym: np.ndarray, bufs: list):
     return loss, grads
 
 
+def check_options(learning_rate: float, max_iters: int, gradient_clip: float | None) -> None:
+    """Raise ConfigError unless ``max_iters`` >= 1, ``learning_rate`` is
+    finite and >= 0 and ``gradient_clip`` is None or finite and > 0."""
+    if max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
+    check_finite("learning_rate", learning_rate, positive=False)
+    check_finite("gradient_clip", gradient_clip, positive=True)
+
+
 def train_gd(
     x, y, spec: NetworkSpec, *, learning_rate: float = 0.01, max_iters: int = 500,
     gradient_clip: float | None = None,
 ) -> tuple[Network, TrainReport]:
-    """Full-batch descent on output-space SSE for ``max_iters`` (>= 1) steps
-    of size ``learning_rate`` (finite and >= 0), the gradient's global norm
-    clipped to ``gradient_clip`` (finite and > 0) when set; every step
-    fills the one set of ``_buffers`` the fit allocates."""
+    """Full-batch descent on output-space SSE: ``max_iters`` steps of size
+    ``learning_rate``, the gradient's global norm clipped to ``gradient_clip``
+    when set, each filling the one set of ``_buffers`` the fit allocates."""
     t0 = time.perf_counter()
-    check_finite("learning_rate", learning_rate, positive=False)
-    if max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
-    check_finite("gradient_clip", gradient_clip, positive=True)
+    check_options(learning_rate, max_iters, gradient_clip)
     xm, ym = _check_spec(spec, x, y)
     net = initial_network(spec)
     bufs = _buffers(spec, xm)

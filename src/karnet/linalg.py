@@ -64,8 +64,9 @@ def pinv(a, rcond: float | None = None) -> PinvResult:
     ----------
     a : array-like, shape (m, d)
     rcond : float, optional
-        Relative cutoff; singular values below ``rcond * sigma_max`` are
-        treated as zero.  Defaults to ``max(m, d) * eps * sigma_max``.
+        Relative cutoff, finite and >= 0; singular values at or below
+        ``rcond * sigma_max`` are treated as zero.  Defaults to
+        ``max(m, d) * eps``, the one place that default is written.
 
     Returns
     -------
@@ -73,6 +74,7 @@ def pinv(a, rcond: float | None = None) -> PinvResult:
         Satisfies the four defining pseudoinverse conditions to numerical
         tolerance: A X A = A, X A X = X, and both A X and X A symmetric.
     """
+    check_finite("rcond", rcond, positive=False)
     m = as_matrix(a, "a")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -102,8 +104,8 @@ def lstsq(a, b, rcond: float | None = None) -> LstsqResult:
     """Minimum-norm least-squares solution of ``a @ theta = b`` (b a matrix).
 
     Singular values at or below ``rcond * sigma_max`` count as zero, with
-    ``rcond`` (finite and >= 0) defaulting to ``max(m, d) * eps`` as in
-    ``pinv``.  When ``b`` has fewer columns than ``min(a.shape)``, LAPACK
+    ``rcond`` checked and defaulted as in ``pinv`` (gelsd's default is the
+    same).  When ``b`` has fewer columns than ``min(a.shape)``, LAPACK
     gelsd solves the system without forming the pseudoinverse, which is
     faster there; with more columns, or a cutoff gelsd cannot express
     (``rcond`` 0 or >= 1), ``pinv(a, rcond).pinv @ b`` is used unchanged.
@@ -115,11 +117,9 @@ def lstsq(a, b, rcond: float | None = None) -> LstsqResult:
         raise DimensionError(
             f"row mismatch: a has {am.shape[0]} rows, b has {bm.shape[0]}"
         )
-    if rcond is None:
-        rcond = max(am.shape) * np.finfo(np.float64).eps
     # gelsd reads an rcond outside (0, 1) as eps; pinv keeps every nonzero
     # singular value at 0 and none at 1 or above
-    if bm.shape[1] >= min(am.shape) or not 0.0 < rcond < 1.0:
+    if bm.shape[1] >= min(am.shape) or not (rcond is None or 0.0 < rcond < 1.0):
         p = pinv(am, rcond=rcond)
         return LstsqResult(theta=p.pinv @ bm, rank=p.rank)
     try:

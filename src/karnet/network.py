@@ -21,7 +21,7 @@ import numpy as np
 import orjson
 
 from .activations import ACTIVATION, clamp, logit
-from .errors import ConfigError, DataError, DimensionError, KarnetError, NumericalError
+from .errors import ConfigError, DataError, DimensionError, KarnetError, NumericalError, check_seed
 
 __all__ = [
     "NetworkSpec",
@@ -36,9 +36,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture description: layer sizes and an init seed in [0, 2**64),
-    the integers a weights file can hold.  Every layer applies the one
-    activation, whose name ``ACTIVATION`` the dict form records."""
+    """Architecture description: layer sizes >= 1 and an init seed in
+    [0, 2**64), integers (numpy's too; no bool) a weights file can hold.
+    Every layer applies ``ACTIVATION``, whose name the dict form records."""
 
     input_dim: int
     hidden: tuple[int, ...]
@@ -46,12 +46,13 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         sizes = (self.input_dim, *self.hidden, self.output_dim)
+        if any(type(v) is bool or not isinstance(v, int | np.integer) for v in (*sizes, self.seed)):
+            raise ConfigError(f"layer sizes and seed must be integers, got {sizes} and {self.seed!r}")
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(s < 1 for s in sizes):
             raise ConfigError(f"all layer sizes must be >= 1, got {sizes}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
     @property
     def n_layers(self) -> int:
@@ -73,12 +74,10 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        """Read a dict form; a size or seed other than a JSON integer, or an
-        activation other than ``ACTIVATION``, is a DataError."""
-        *sizes, seed = d["input_dim"], *d["hidden"], d["output_dim"], d.get("seed", 0)
-        if not all(type(v) is int for v in (*sizes, seed)):  # a bool is no JSON integer
-            raise DataError(f"layer sizes and seed must be integers, got {sizes} and {seed!r}")
-        spec = cls(input_dim=sizes[0], hidden=tuple(sizes[1:-1]), output_dim=sizes[-1], seed=seed)
+        """Read a dict form; an activation other than ``ACTIVATION`` is a
+        DataError, and the constructor checks the sizes and seed."""
+        spec = cls(input_dim=d["input_dim"], hidden=tuple(d["hidden"]),
+                   output_dim=d["output_dim"], seed=d.get("seed", 0))
         name = d.get("activation", ACTIVATION)
         if name != ACTIVATION:
             raise DataError(f"unknown activation pair {name!r} (known: {ACTIVATION})")
@@ -120,8 +119,9 @@ def activate(z: np.ndarray, layer: int) -> np.ndarray:
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Forward pass: ``activate`` after every layer's product with its
-    input ``[1, G_{k-1}]``, which goes once multiplied, so no more than two
+    """Forward pass: ``activate``, which refuses a non-finite product with no
+    numpy warning first, after every layer's product with its input
+    ``[1, G_{k-1}]``.  That input goes once multiplied, so no more than two
     activation-sized arrays are alive.  The output is a new array."""
     xm = np.asarray(x, dtype=np.float64)
     if xm.ndim != 2 or xm.shape[1] != net.spec.input_dim:
@@ -129,12 +129,13 @@ def forward(net: Network, x) -> np.ndarray:
             f"input must be (m, {net.spec.input_dim}), got {xm.shape}"
         )
     g = xm
-    for k, w in enumerate(net.weights, start=1):
-        a = add_bias_column(g)
-        del g
-        g = a @ w
-        del a
-        activate(g, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, w in enumerate(net.weights, start=1):
+            a = add_bias_column(g)
+            del g
+            g = a @ w
+            del a
+            activate(g, k)
     return g
 
 

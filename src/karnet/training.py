@@ -128,24 +128,25 @@ def _solve(a: np.ndarray, b: np.ndarray, rcond, what: str) -> np.ndarray:
 def _finish_report(
     net: Network, a: np.ndarray, target: np.ndarray, y: np.ndarray, t0: float, **fields
 ) -> TrainReport:
-    """Score the fit from the output layer's input ``a`` with no new pass:
-    the residual of the output layer's linear system against the
-    transformed ``target`` first, then the output through the layer step
-    ``activate``, bit for bit as ``forward`` computes it.  ``fields`` name
-    the trainer and its counts."""
-    z = a @ net.weights[-1]
-    r = z - target
-    g = activate(z, net.spec.n_layers)
-    return TrainReport(
-        train_sse=float(np.sum((g - y) ** 2)),
-        train_sse_transformed=float(np.sum(r * r)),
-        train_error_rate=error_rate(g, y),
-        wall_time=time.perf_counter() - t0,
-        seed=net.spec.seed,
-        spec=net.spec.to_dict(),
-        weight_norms=[float(np.linalg.norm(w)) for w in net.weights],
-        **fields,
-    )
+    """Score the fit from the output layer's input ``a`` with no new pass: the
+    residual of its linear system against the transformed ``target``, then
+    the output through ``activate``, bit for bit as ``forward`` computes it.
+    A value overflowed weights make non-finite is refused there or by
+    ``TrainReport``, unwarned.  ``fields`` name the trainer and its counts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = a @ net.weights[-1]
+        r = z - target
+        g = activate(z, net.spec.n_layers)
+        return TrainReport(
+            train_sse=float(np.sum((g - y) ** 2)),
+            train_sse_transformed=float(np.sum(r * r)),
+            train_error_rate=error_rate(g, y),
+            wall_time=time.perf_counter() - t0,
+            seed=net.spec.seed,
+            spec=net.spec.to_dict(),
+            weight_norms=[float(np.linalg.norm(w)) for w in net.weights],
+            **fields,
+        )
 
 
 def train_n_layer(

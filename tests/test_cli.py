@@ -573,6 +573,16 @@ class TestFailureContract:
         assert "Traceback" not in err and "non-finite" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_readme_overflow_line_prints_one_error_line(self, tmp_path):
+        """The README's overflow example ends in exit 4 with the refusal
+        alone on stderr: no numpy RuntimeWarning comes before it."""
+        code, err = run_cli_process(
+            "train", "--data", "iris", "--layers", "5", "--trainer", "gd",
+            "--learning-rate", "1e200", "--out", str(tmp_path),
+        )
+        assert code == EXIT_NUMERIC
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_learning_rate_is_config_error(self, tmp_path, capsys, value):
         """A NaN or infinite step is a bad option, not a non-finite loss at

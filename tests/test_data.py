@@ -369,6 +369,16 @@ class TestBuiltins:
         assert ds.class_count == 3
         np.testing.assert_array_equal(np.bincount(ds.labels), [50, 50, 50])
 
+    def test_split_rows_keeps_every_field_but_the_rows(self):
+        ds = scale_minmax(load_iris(), 0.01)
+        part = data.split_rows(ds, [0, 60, 149])
+        assert part.scaling == ds.scaling
+        assert part.class_count == 3
+        assert part.class_names == ds.class_names
+        np.testing.assert_array_equal(part.x, ds.x[[0, 60, 149]])
+        np.testing.assert_array_equal(part.y, ds.y[[0, 60, 149]])
+        np.testing.assert_array_equal(part.labels, [0, 1, 2])
+
     def test_iris_split_first_thirty_per_class(self):
         ds = load_iris()
         train, test = iris_train_test_split(ds)

@@ -174,6 +174,16 @@ class TestRunCv:
             run_cv(ExperimentConfig(dataset="xor", out=str(tmp_path),
                                     layers=(2,), folds=10))
 
+    def test_non_integer_layer_size_is_config_error(self, tmp_path):
+        """A width of 2.9 is refused, not trained as 2 and reported as 2.9."""
+        with pytest.raises(ConfigError, match="layer sizes and seed must be integers"):
+            run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path), layers=(2.9,),
+                                    trials=1, folds=2))
+
+    def test_descent_options_are_checked_for_the_analytic_trainer_too(self):
+        with pytest.raises(ConfigError, match=r"^learning_rate must be finite and >= 0, got -1.0$"):
+            ExperimentConfig(trainer="kar", learning_rate=-1.0)
+
     def test_deterministic_excluding_wall_time(self, tmp_path):
         reports = []
         for tag in ("a", "b"):

@@ -252,6 +252,16 @@ class TestLstsqRoutes:
         with pytest.raises(ConfigError, match="rcond"):
             lstsq(np.diag([1.0, 1e-17, 1.0]), np.ones((3, k)), rcond=rcond)
 
+    @pytest.mark.parametrize("rcond", [-1.0, np.nan, np.inf])
+    def test_pinv_refuses_the_cutoffs_lstsq_refuses(self, rcond):
+        """The reference pseudoinverse checks its cutoff as ``lstsq`` does;
+        unchecked, -1 kept the zero singular value and inverted it, and NaN
+        or inf kept none."""
+        from karnet import ConfigError
+
+        with pytest.raises(ConfigError, match="rcond must be finite and >= 0"):
+            pinv(np.diag([1.0, 0.0]), rcond=rcond)
+
     @settings(max_examples=300, deadline=None)
     @given(_systems())
     def test_pinv_satisfies_penrose_conditions(self, system):

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,26 @@ class TestSpecAndShapes:
     def test_seed_outside_uint64_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             NetworkSpec(input_dim=2, hidden=(), output_dim=1, seed=seed)
+
+    @pytest.mark.parametrize("sizes, seed", [
+        pytest.param((2, (2.9,), 1), 0, id="float-hidden"),
+        pytest.param((4.5, (), True), 1.5, id="float-input-bool-output-float-seed"),
+        pytest.param((2, ("3",), 1), 0, id="string-hidden"),
+        pytest.param((2, (), 1), True, id="bool-seed"),
+        pytest.param((2, (np.bool_(True),), 1), 0, id="numpy-bool-hidden"),
+    ])
+    def test_non_integer_size_or_seed_is_config_error(self, sizes, seed):
+        """Nothing is truncated or parsed into an integer: a float, a bool
+        or a string size or seed is refused, as a weights file holding one
+        is."""
+        with pytest.raises(ConfigError, match="layer sizes and seed must be integers"):
+            NetworkSpec(*sizes, seed=seed)
+
+    def test_numpy_integer_sizes_are_accepted_and_stored_as_ints(self):
+        spec = NetworkSpec(np.int64(2), tuple(np.arange(3, 5)), np.int32(1), seed=np.uint64(7))
+        assert spec.hidden == (3, 4)
+        assert all(type(h) is int for h in spec.hidden)
+        assert spec.weight_shapes == [(3, 3), (4, 4), (5, 1)]
 
     def test_wrong_weight_shape_rejected(self):
         spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1)
@@ -110,12 +131,14 @@ class TestForward:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_numerical_error(self, bad):
         """A NaN or infinite feature makes a pre-activation non-finite,
-        which the layer step refuses instead of passing NaN on."""
+        which the layer step refuses instead of passing NaN on, with no
+        numpy warning before the refusal."""
         net = initial_network(NetworkSpec(input_dim=3, hidden=(4,), output_dim=2, seed=8))
         x = np.random.default_rng(8).uniform(0.1, 0.9, (5, 3))
         x[2, 1] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(
+        with warnings.catch_warnings(), pytest.raises(
                 NumericalError, match="non-finite pre-activation at layer 1"):
+            warnings.simplefilter("error")
             forward(net, x)
 
     def test_uncached_pass_matches_the_bias_column_chain(self):
