@@ -34,7 +34,7 @@ from .data import (
     stratified_folds,
 )
 from .errors import ConfigError, DataError, NumericalError, check_finite, check_seed
-from .gradient_descent import check_options, train_gd
+from .gradient_descent import _stack_size, check_options, train_gd, train_gd_stack
 from .network import Network, NetworkSpec, forward
 from .training import error_rate, train_n_layer, train_random_hidden
 
@@ -299,24 +299,46 @@ def _select_hidden(
     return cfg.hidden_for(best_h), fits
 
 
-def _cv_unit(cfg: ExperimentConfig, ds: Dataset, unit: tuple[int, int]) -> dict:
-    """The report row of one (trial, fold): select the hidden sizes, fit on
-    the training folds and score the held-out one.  Module-level, so that a
-    pool worker can run it."""
-    trial, fold = unit
-    plan = stratified_folds(ds.labels, cfg.folds, _unit_seed(cfg.seed, trial))
-    train = split_rows(ds, plan.train_indices(fold))
-    train_s, test_s = _scaled(train, split_rows(ds, plan.test_indices(fold)), cfg.scale_eps)
-    t0 = time.perf_counter()
-    grid_seed = _unit_seed(cfg.seed, trial, fold)
-    hidden, select_fits = (_select_hidden(cfg, train, grid_seed) if cfg.grid
-                           else (cfg.layers, 0))
-    select_time = time.perf_counter() - t0
-    net, rep = _train_once(cfg, train_s.x, train_s.y, hidden, _unit_seed(cfg.seed, trial, fold, 1))
-    return {"trial": trial, "fold": fold, "trainer": cfg.trainer, "hidden": list(hidden),
-            "accuracy": 1.0 - _test_error(net, test_s), "train_sse": rep.train_sse,
-            "select_fits": select_fits, "select_wall_time": select_time,
-            "train_wall_time": rep.wall_time}
+def _stacked(cfg: ExperimentConfig) -> bool:  # cv's gd fits of fixed layers descend in stacks
+    return cfg.trainer == "gd" and not cfg.grid
+
+
+def _cv_rows(cfg: ExperimentConfig, ds: Dataset, units: list) -> list[dict]:
+    """The report rows of ``units``, in order: each (trial, fold) selects its
+    hidden sizes, fits on its training folds and scores the held-out one.
+    Under ``_stacked`` a training-row count's units descend in stacks
+    (``train_gd_stack``), and a row's ``train_wall_time`` is its share of its
+    stack's seconds.  Module-level, so that a pool worker can run it."""
+    rows, stacks = [], {}
+    gd = dict(learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
+              gradient_clip=cfg.gradient_clip)
+    for trial, fold in units:
+        plan = stratified_folds(ds.labels, cfg.folds, _unit_seed(cfg.seed, trial))
+        train = split_rows(ds, plan.train_indices(fold))
+        train_s, test_s = _scaled(train, split_rows(ds, plan.test_indices(fold)), cfg.scale_eps)
+        seed, m = _unit_seed(cfg.seed, trial, fold, 1), train_s.n_samples
+        rows.append(row := {"trial": trial, "fold": fold, "trainer": cfg.trainer,
+                            "hidden": list(cfg.layers), "select_fits": 0, "select_wall_time": 0.0})
+        if _stacked(cfg):
+            spec = _spec(train_s.x, train_s.y, cfg.layers, seed)
+            stacks.setdefault(m, []).append((row, test_s, (train_s.x, train_s.y, spec)))
+            if len(stacks[m]) == _stack_size(spec, m):  # a full stack descends; its inputs go
+                _score(stack := stacks.pop(m), train_gd_stack(*zip(*(f for *_, f in stack)), **gd))
+            continue
+        t0 = time.perf_counter()
+        hidden, row["select_fits"] = (_select_hidden(cfg, train, _unit_seed(cfg.seed, trial, fold))
+                                      if cfg.grid else (cfg.layers, 0))
+        row.update(hidden=list(hidden), select_wall_time=time.perf_counter() - t0)
+        _score([(row, test_s)], [_train_once(cfg, train_s.x, train_s.y, hidden, seed)])
+    for stack in stacks.values():
+        _score(stack, train_gd_stack(*zip(*(f for *_, f in stack)), **gd))
+    return rows
+
+
+def _score(rows: list, fits: list) -> None:  # each (row, held-out rows, ...) by its (net, report)
+    for (row, test, *_), (net, rep) in zip(rows, fits, strict=True):
+        row.update(accuracy=1.0 - _test_error(net, test), train_sse=rep.train_sse,
+                   train_wall_time=rep.wall_time)
 
 
 def _usable_cpus() -> int:
@@ -336,16 +358,19 @@ def _process_pool(workers: int):
 
 
 def _pool_rows(cfg: ExperimentConfig, ds: Dataset, units: list, workers: int) -> list[dict]:
-    """Rows of ``units``, in order, from ``workers`` processes; a worker's KarnetError
-    is raised here.  A pool that cannot start or breaks returns the rows it finished."""
+    """Rows of ``units``, in order, from ``workers`` processes, a unit to a task (under
+    ``_stacked``, a run to a worker); a worker's KarnetError is raised here.  A pool
+    that cannot start or breaks returns the rows of the tasks it finished."""
     from concurrent.futures.process import BrokenProcessPool
 
     rows: list[dict] = []
     try:
         pool = _process_pool(workers)
         try:
-            for row in pool.map(_cv_unit, repeat(cfg), repeat(ds), units):
-                rows.append(row)
+            size = -(-len(units) // workers) if _stacked(cfg) else 1  # one run per worker
+            for task_rows in pool.map(_cv_rows, repeat(cfg), repeat(ds),
+                                      [units[i:i + size] for i in range(0, len(units), size)]):
+                rows += task_rows
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
     except (BrokenProcessPool, OSError, ValueError):
@@ -368,7 +393,8 @@ def run_cv(cfg: ExperimentConfig) -> dict:
 
     The first (trial, fold) unit runs here.  If the rest would take at least
     ``POOL_MIN_SECONDS`` at its pace and BLAS runs one thread, which forked
-    workers inherit, they go to one process per usable CPU.  Rows keep order.
+    workers inherit, they go to one process per usable CPU; gd fits of fixed
+    ``layers`` descend in stacks (``_cv_rows``).  Rows keep order.
     """
     ds = load_dataset(cfg)
     if ds.class_count < 2:
@@ -387,12 +413,12 @@ def run_cv(cfg: ExperimentConfig) -> dict:
 
     units = [(trial, fold) for trial in range(cfg.trials) for fold in range(cfg.folds)]
     t0 = time.perf_counter()
-    rows = [_cv_unit(cfg, ds, units[0])]
+    rows = _cv_rows(cfg, ds, units[:1])
     one_thread = all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
     workers = min(_usable_cpus(), len(units) - 1) if one_thread else 1
     if workers > 1 and (time.perf_counter() - t0) * (len(units) - 1) >= POOL_MIN_SECONDS:
         rows += _pool_rows(cfg, ds, units[1:], workers)
-    rows += [_cv_unit(cfg, ds, unit) for unit in units[len(rows):]]
+    rows += _cv_rows(cfg, ds, units[len(rows):])
 
     accuracies = [r["accuracy"] for r in rows]
     times = [r["train_wall_time"] for r in rows]

@@ -49,50 +49,62 @@ def initial_network(spec: NetworkSpec) -> Network:
     return Network(spec=spec, weights=weights)
 
 
+# bytes of buffers a stack may hold (a fit needing more descends alone); at 1 MiB, cv's
+# 135-row iris fits at h = 20 go 9 to a stack, and larger stacks ran no faster per fit
+STACK_BYTES = 2**20
+
+
 def _buffers(spec: NetworkSpec, xm: np.ndarray) -> list[tuple]:
-    """The arrays a descent step fills, allocated once per fit.  Per layer:
-    its input ``[1, G_{k-1}]``, layer 1's holding ``xm`` already; its
-    clamped pre-activation c; f'(c) * delta * mask and its two masks; and
-    the delta passed down."""
-    m = xm.shape[0]
-    bufs = [(np.ones((m, rows)), np.empty((m, cols)), np.empty((m, cols)),
-             np.empty((m, cols), bool), np.empty((m, cols), bool), np.empty((m, rows)))
-            for rows, cols in spec.weight_shapes]
-    bufs[0][0][:, 1:] = xm
+    """The arrays a descent step fills, allocated once per descent on inputs
+    ``xm`` (rows x features, behind a stack's fit axis).  Per layer: its input
+    ``[1, G_{k-1}]``, layer 1's holding ``xm`` already; its clamped
+    pre-activation c; f'(c) * delta * mask and its two masks; the delta."""
+    lead = xm.shape[:-1]
+    bufs = [(np.ones((*lead, rows)), np.empty((*lead, cols)), np.empty((*lead, cols)),
+             np.empty((*lead, cols), bool), np.empty((*lead, cols), bool),
+             np.empty((*lead, rows))) for rows, cols in spec.weight_shapes]
+    bufs[0][0][..., 1:] = xm
     return bufs
 
 
-def _fill(net: Network, bufs: list) -> np.ndarray:
-    """One forward pass through ``bufs``: each layer's clamped
-    pre-activation, whose logit goes straight into the next layer's input.
-    Backprop reads the clamped values, so ``network.activate``, which takes
-    logit over them in place, does not serve here.  Returns the output, a
-    new array."""
-    for k, (w, (a, c, *_)) in enumerate(zip(net.weights, bufs), start=1):
+def _stack_size(spec: NetworkSpec, m: int) -> int:
+    """Fits of ``m`` rows to a stack: as many as keep their ``_buffers`` (16 x rows
+    + 18 x cols bytes a row per layer) within ``STACK_BYTES``, at least one."""
+    return max(1, STACK_BYTES // (m * sum(16 * r + 18 * c for r, c in spec.weight_shapes)))
+
+
+def _fill(ws: list, bufs: list) -> np.ndarray:
+    """One forward pass of the weights ``ws`` through ``bufs``: each
+    layer's clamped pre-activation, whose logit goes straight into the next
+    layer's input.  Backprop reads the clamped values, so
+    ``network.activate``, which takes logit over them in place, does not
+    serve here.  Returns the output, a new array."""
+    for k, (w, (a, c, *_)) in enumerate(zip(ws, bufs), start=1):
         clamp(np.matmul(a, w, out=c), out=c)
-        g = logit(c, out=bufs[k][0][:, 1:] if k < len(bufs) else None)
+        g = logit(c, out=bufs[k][0][..., 1:] if k < len(bufs) else None)
     return g
 
 
-def _sse_and_gradients(net: Network, ym: np.ndarray, bufs: list):
-    """SSE and gradients at ``net`` against checked ``ym``: one forward pass
-    and one backprop through ``bufs``, which ``_buffers`` made for this
-    net's sizes and inputs.  The gradients are new."""
-    resid = _fill(net, bufs)
+def _sse_and_gradients(ws: list, ym: np.ndarray, bufs: list):
+    """SSE and gradients at weights ``ws`` against checked ``ym``: one forward
+    pass and one backprop through ``bufs``, which ``_buffers`` made for these
+    sizes and inputs.  Each operation acts on the last two axes, so a fit's
+    bits are the same alone as in a stack.  The gradients are new."""
+    resid = _fill(ws, bufs)
     resid -= ym
-    loss = float(np.add.reduce(np.multiply(resid, resid, out=bufs[-1][2]), axis=None))
+    loss = np.add.reduce(np.multiply(resid, resid, out=bufs[-1][2]), axis=(-2, -1))
     # f'(c) at each layer's clamped pre-activation c, zeroed where the clamp
     # was active; testing c against the band equals testing the unclamped value
     delta = np.multiply(2.0, resid, out=resid)
-    grads = [None] * len(net.weights)
-    for k in range(len(net.weights) - 1, -1, -1):
+    grads = [None] * len(ws)
+    for k in range(len(ws) - 1, -1, -1):
         a, c, d, above, below, down = bufs[k]
         np.multiply(delta, logit_deriv(c, out=d), out=d)
         mask = np.bitwise_and(np.greater(c, LO, out=above), np.less(c, HI, out=below), out=above)
         np.multiply(d, mask, out=d)
-        grads[k] = a.T @ d
+        grads[k] = a.mT @ d
         if k > 0:
-            delta = np.matmul(d, net.weights[k].T, out=down)[:, 1:]
+            delta = np.matmul(d, ws[k].mT, out=down)[..., 1:]
     return loss, grads
 
 
@@ -111,27 +123,47 @@ def train_gd(
 ) -> tuple[Network, TrainReport]:
     """Full-batch descent on output-space SSE: ``max_iters`` steps of size
     ``learning_rate``, the gradient's global norm clipped to ``gradient_clip``
-    when set, each filling the one set of ``_buffers`` the fit allocates."""
+    when set.  The stack of one ``train_gd_stack`` descends."""
+    return train_gd_stack([x], [y], [spec], learning_rate=learning_rate, max_iters=max_iters,
+                          gradient_clip=gradient_clip)[0]
+
+
+def train_gd_stack(
+    xs, ys, specs: list[NetworkSpec], *, learning_rate: float, max_iters: int,
+    gradient_clip: float | None,
+) -> list[tuple[Network, TrainReport]]:
+    """``train_gd`` on each (x, y, spec), all of one shape, bit for bit: the fits
+    descend in lockstep as one stack, which a non-finite loss in any ends (how
+    many fit ``STACK_BYTES``: ``_stack_size``).  Each report's wall time is an
+    equal share of the stack's; one fit descends on its own matrices."""
     t0 = time.perf_counter()
     check_options(learning_rate, max_iters, gradient_clip)
-    xm, ym = _check_spec(spec, x, y)
-    net = initial_network(spec)
-    bufs = _buffers(spec, xm)
+    stacked = len(specs) > 1  # else each per-fit value is a numpy scalar, cheaper than an array
+    arrays = zip(*((*_check_spec(*f), *initial_network(f[0]).weights) for f in zip(specs, xs, ys)))
+    xm, ym, *ws = (np.stack(v) if stacked else v[0] for v in arrays)
+    bufs = _buffers(specs[0], xm)
     for it in range(max_iters):
-        loss, grads = _sse_and_gradients(net, ym, bufs)
-        if not math.isfinite(loss):
+        loss, grads = _sse_and_gradients(ws, ym, bufs)
+        if not math.isfinite(np.maximum.reduce(loss) if stacked else loss):  # maximum keeps NaN
             raise NumericalError(f"non-finite loss at iteration {it}")
-        if gradient_clip is not None:
-            gnorm = np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
-            if gnorm > gradient_clip:
-                grads = [g * (gradient_clip / gnorm) for g in grads]
-        for w, g in zip(net.weights, grads):
+        if gradient_clip is not None:  # a stack keeps its fit axis, so each norm scales its fit
+            gnorm = np.sqrt(sum(np.add.reduce(g * g, (-2, -1), keepdims=stacked) for g in grads))
+            scale = gradient_clip / np.fmax(gnorm, gradient_clip)  # exactly 1.0 within the clip
+            for g in grads:
+                g *= scale
+        for w, g in zip(ws, grads):
             w -= np.multiply(learning_rate, g, out=g)
-    _fill(net, bufs)
-    return net, _finish_report(
-        net, bufs[-1][0], apply_sigmoid(ym), ym, t0, trainer="gd",
-        iterations=max_iters, init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias",
-    )
+    _fill(ws, bufs)
+    a, ym, *ws = (v.reshape(-1, *v.shape[-2:]) for v in (bufs[-1][0], ym, *ws))
+    nets = [Network(spec=spec, weights=[w[i] for w in ws]) for i, spec in enumerate(specs)]
+    reps = [_finish_report(net, a[i], apply_sigmoid(ym[i]), ym[i], t0, trainer="gd",
+                           iterations=max_iters,
+                           init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias")
+            for i, net in enumerate(nets)]
+    share = (time.perf_counter() - t0) / len(reps)
+    for rep in reps:
+        rep.wall_time = share
+    return list(zip(nets, reps))
 
 
 class GradientCheck(NamedTuple):
@@ -154,16 +186,16 @@ def check_gradient(net: Network, x, y) -> GradientCheck:
         raise ConfigError(f"gradient check limited to 200 weights, got {total}")
     xm, ym = _check_spec(net.spec, x, y)
     bufs = _buffers(net.spec, xm)
-    _, grads = _sse_and_gradients(net, ym, bufs)
+    _, grads = _sse_and_gradients(net.weights, ym, bufs)
     step = 1e-5
     worst = 0.0
     for w, g in zip(net.weights, grads):
         for idx in np.ndindex(w.shape):
             orig = w[idx]
             w[idx] = orig + step
-            up = _sse_and_gradients(net, ym, bufs)[0]
+            up = float(_sse_and_gradients(net.weights, ym, bufs)[0])
             w[idx] = orig - step
-            dn = _sse_and_gradients(net, ym, bufs)[0]
+            dn = float(_sse_and_gradients(net.weights, ym, bufs)[0])
             w[idx] = orig
             numeric = (up - dn) / (2.0 * step)
             worst = max(worst, abs(numeric - g[idx]) / max(abs(numeric), abs(g[idx]), 1e-8))

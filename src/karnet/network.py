@@ -37,7 +37,7 @@ __all__ = [
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture description: layer sizes >= 1 and an init seed in
-    [0, 2**64), integers (numpy's too; no bool) a weights file can hold.
+    [0, 2**64), integers (numpy's too, stored as Python ints; no bool).
     Every layer applies ``ACTIVATION``, whose name the dict form records."""
 
     input_dim: int
@@ -49,6 +49,8 @@ class NetworkSpec:
         sizes = (self.input_dim, *self.hidden, self.output_dim)
         if any(type(v) is bool or not isinstance(v, int | np.integer) for v in (*sizes, self.seed)):
             raise ConfigError(f"layer sizes and seed must be integers, got {sizes} and {self.seed!r}")
+        for name in ("input_dim", "output_dim", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(s < 1 for s in sizes):
             raise ConfigError(f"all layer sizes must be >= 1, got {sizes}")

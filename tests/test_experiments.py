@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 
 import karnet
 import karnet.experiments as experiments
-from karnet import ConfigError, ExperimentConfig, error_rate
+import karnet.gradient_descent as gradient_descent
+from karnet import ConfigError, ExperimentConfig, NetworkSpec, error_rate
 from karnet.cli import EXIT_NUMERIC, main
 from karnet.data import load_iris, split_rows, stratified_folds
 from karnet.errors import DataError, NumericalError
@@ -523,6 +525,67 @@ class TestCvPool:
         monkeypatch.setattr(experiments, "_process_pool", factory)
         run_cv(ExperimentConfig(out=str(tmp_path / "fallback"), **cfg))
         assert _cv_blob(tmp_path / "fallback") == _cv_blob(tmp_path / "inline")
+
+
+class TestCvStacks:
+    """cv descends gd fits of fixed layers in stacks of equal training-row
+    count; its report is the one a fit at a time gives, wall times aside."""
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+    @pytest.mark.parametrize("folds", [10, 7])
+    def test_stacks_report_as_fits_one_at_a_time(self, tmp_path, monkeypatch, pooled, folds):
+        cfg = dict(dataset="iris", layers=(5, 3), trainer="gd", max_iters=30,
+                   gradient_clip=1.0, trials=2, folds=folds, seed=4)
+        stacks, buffers = [], gradient_descent._buffers
+
+        def counting(spec, xm):
+            stacks.append(xm.shape[:-2])
+            return buffers(spec, xm)
+
+        monkeypatch.setattr(gradient_descent, "_buffers", counting)
+        bound = gradient_descent.STACK_BYTES
+        monkeypatch.setattr(gradient_descent, "STACK_BYTES", 1)
+        force_inline(monkeypatch)
+        run_cv(ExperimentConfig(out=str(tmp_path / "alone"), **cfg))
+        assert stacks == [()] * 2 * folds  # the bound splits every stack to one fit
+        monkeypatch.setattr(gradient_descent, "STACK_BYTES", bound)
+        stacks.clear()
+        started = force_pool(monkeypatch) if pooled else []
+        run_cv(ExperimentConfig(out=str(tmp_path / "stacked"), **cfg))
+        assert _cv_blob(tmp_path / "stacked") == _cv_blob(tmp_path / "alone")
+        ds = load_iris()
+        plans = [stratified_folds(ds.labels, folds, experiments._unit_seed(4, t)) for t in range(2)]
+        rows = Counter(int(np.count_nonzero(plans[t].assignments != f))  # each unit's training rows
+                       for t in range(2) for f in range(folds) if (t, f) != (0, 0))
+        assert len(rows) == (1 if folds == 10 else 2)
+        if pooled:
+            assert started == [min(experiments._usable_cpus(), 2 * folds - 1)]
+            assert stacks == [()]  # the probe; the workers' stacks are not seen here
+        else:  # the probe, then each training-row count's units in stacks under the bound
+            spec = NetworkSpec(4, (5, 3), 3)
+            size = {m: gradient_descent.STACK_BYTES // sum(
+                b.nbytes for t in buffers(spec, np.zeros((m, 4))) for b in t)
+                for m in rows}
+            sizes = [min(size[m], n - i) for m, n in rows.items() for i in range(0, n, size[m])]
+            assert max(sizes) > 1
+            assert stacks[0] == () and sorted(stacks[1:]) == sorted(
+                (size,) if size > 1 else () for size in sizes)
+        assert multiprocessing.active_children() == []
+
+    def test_a_full_stack_descends_before_more_units_are_read(self, tmp_path, monkeypatch):
+        """With room for one fit a stack, each unit's fit descends before the
+        next unit's rows are split and scaled, so a cv holds one stack's
+        inputs at a time, as a fit at a time did."""
+        events, scaled, stack = [], experiments._scaled, experiments.train_gd_stack
+        monkeypatch.setattr(experiments, "_scaled",
+                            lambda *a: events.append("scale") or scaled(*a))
+        monkeypatch.setattr(experiments, "train_gd_stack",
+                            lambda *a, **k: events.append(len(a[0])) or stack(*a, **k))
+        monkeypatch.setattr(gradient_descent, "STACK_BYTES", 1)
+        force_inline(monkeypatch)
+        run_cv(ExperimentConfig(dataset="iris", layers=(4,), trainer="gd", max_iters=5,
+                                trials=1, folds=4, seed=2, out=str(tmp_path)))
+        assert events == ["scale", 1] * 4
 
 
 class TestWriteReport:

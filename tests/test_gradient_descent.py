@@ -1,6 +1,7 @@
 """Gradient-descent baseline tests: gradient correctness and descent."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from karnet import (
     train_gd,
 )
 from karnet.activations import HI, LO
-from karnet.gradient_descent import _buffers, _sse_and_gradients, initial_network
+from karnet.errors import NumericalError
+from karnet.gradient_descent import _buffers, _sse_and_gradients, initial_network, train_gd_stack
 from karnet.network import add_bias_column
 from karnet.training import _finish_report
 
@@ -64,7 +66,7 @@ class TestCheckGradient:
         y = rng.uniform(0.1, 0.9, size=(4, 2))
         spec = NetworkSpec(input_dim=3, hidden=(), output_dim=2)
         net, _ = train_n_layer(x, y, spec)
-        _, grads = _sse_and_gradients(net, y, _buffers(spec, x))
+        _, grads = _sse_and_gradients(net.weights, y, _buffers(spec, x))
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
         assert norm <= 1e-8
 
@@ -113,7 +115,7 @@ class TestTrainGd:
         ])
         y = np.vstack([np.full((5, 1), 0.2), np.full((5, 1), 0.8)])
         spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1, seed=0)
-        losses = [_sse_and_gradients(initial_network(spec), y, _buffers(spec, x))[0]]
+        losses = [_sse_and_gradients(initial_network(spec).weights, y, _buffers(spec, x))[0]]
         for iters in range(1, 11):
             _, rep = train_gd(x, y, spec, learning_rate=1e-4, max_iters=iters)
             losses.append(rep.train_sse)
@@ -232,20 +234,23 @@ class TestBufferedDescent:
             assert np.all(np.clip(a @ want.weights[-1], LO, HI)[:, clamped] == HI)
 
     def test_a_step_leaves_the_last_steps_results_alone(self):
-        x, y, spec = small_problem(12, m=9, hidden=(5, 3))
-        net = initial_network(spec)
-        bufs = _buffers(spec, x)
-        loss, grads = _sse_and_gradients(net, y, bufs)
+        """On a stack of two fits, as on one fit's own matrices."""
+        problems = [small_problem(seed, m=9, hidden=(5, 3)) for seed in (12, 13)]
+        xm, ym = (np.stack(column) for column in list(zip(*problems))[:2])
+        spec = problems[0][2]
+        ws = [np.stack(layer) for layer in zip(*(initial_network(p[2]).weights for p in problems))]
+        bufs = _buffers(spec, xm)
+        loss, grads = _sse_and_gradients(ws, ym, bufs)
         kept = [g.copy() for g in grads]
-        for w, g in zip(net.weights, grads):
+        for w, g in zip(ws, grads):
             w -= 0.5 * g
-        loss2, grads2 = _sse_and_gradients(net, y, bufs)
-        assert loss2 != loss
+        loss2, grads2 = _sse_and_gradients(ws, ym, bufs)
+        assert loss.shape == (2,) and np.all(loss2 != loss)
         for g, k, g2 in zip(grads, kept, grads2, strict=True):
             np.testing.assert_array_equal(g, k)
             assert g2 is not g and not np.array_equal(g2, g)
-        fresh_loss, fresh_grads = _sse_and_gradients(net, y, _buffers(spec, x))
-        assert fresh_loss == loss2
+        fresh_loss, fresh_grads = _sse_and_gradients(ws, ym, _buffers(spec, xm))
+        np.testing.assert_array_equal(fresh_loss, loss2)
         for g2, f in zip(grads2, fresh_grads):
             np.testing.assert_array_equal(g2, f)
 
@@ -256,3 +261,88 @@ class TestBufferedDescent:
         x, _, spec = small_problem(13)
         with pytest.raises(DimensionError):
             train_gd(x, np.full(shape, 0.5), spec, max_iters=1)
+
+
+def initial_gradient_norm(x, y, spec):
+    _, grads = _sse_and_gradients(initial_network(spec).weights, y, _buffers(spec, x))
+    return np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+
+
+def stack_args(problems):
+    """``train_gd_stack``'s three lists from (x, y, spec) triples."""
+    return [list(column) for column in zip(*problems)]
+
+
+class TestStackedDescent:
+    """``train_gd_stack`` runs same-shape fits in lockstep on stacked
+    arrays; each fit's weights and report are ``train_gd``'s on it alone,
+    bit for bit."""
+
+    @staticmethod
+    def assert_each_fit_as_alone(problems, fits, **options):
+        for (x, y, spec), (net, rep) in zip(problems, fits, strict=True):
+            net_alone, rep_alone = train_gd(x, y, spec, **options)
+            for w, w_alone in zip(net.weights, net_alone.weights, strict=True):
+                assert w.tobytes() == w_alone.tobytes()
+            got, want = dataclasses.asdict(rep), dataclasses.asdict(rep_alone)
+            del got["wall_time"], want["wall_time"]
+            assert got == want
+
+    # (400, 200): layer 2's gradient has 80,200 entries, so its squared sum
+    # runs past numpy's 8,192-element reduction buffer
+    @pytest.mark.parametrize("hidden, steps", [((), 30), ((20,), 30), ((5, 3), 30),
+                                               ((400, 200), 4)])
+    @pytest.mark.parametrize("clipped", [True, False])
+    def test_a_stack_is_its_fits_one_at_a_time(self, hidden, steps, clipped):
+        problems = [small_problem(seed, m=12, hidden=hidden, q=3) for seed in (21, 22, 23)]
+        clip = None
+        if clipped:  # the middle start norm: the fit above it is clipped, the one below not
+            norms = sorted(initial_gradient_norm(*p) for p in problems)
+            clip = norms[1]
+            assert norms[0] < clip < norms[2]
+        options = dict(learning_rate=0.05, max_iters=steps, gradient_clip=clip)
+        fits = train_gd_stack(*stack_args(problems), **options)
+        self.assert_each_fit_as_alone(problems, fits, **options)
+
+    @pytest.mark.parametrize("learning_rate, exact", [(0.05, True), (0.0, False)])
+    def test_a_fit_with_a_zero_step_warns_nothing(self, learning_rate, exact):
+        """A fit whose targets are its start outputs has a zero gradient,
+        which the clip leaves alone without dividing by its zero norm; at
+        learning rate 0 no fit moves.  Either way no RuntimeWarning."""
+        problems = [small_problem(seed, m=10) for seed in (31, 32)]
+        x, y, spec = problems[0]
+        if exact:
+            problems[0] = (x, forward(initial_network(spec), x), spec)
+        options = dict(learning_rate=learning_rate, max_iters=20, gradient_clip=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = train_gd_stack(*stack_args(problems), **options)
+        for w, w_start in zip(fits[0][0].weights, initial_network(spec).weights):
+            np.testing.assert_array_equal(w, w_start)
+        self.assert_each_fit_as_alone(problems, fits, **options)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_fit_whose_loss_goes_non_finite_ends_its_stack(self):
+        """At a learning rate of 1e308 one step overflows a fit's weights,
+        and the next loss is NaN; a fit at its exact fit does not move."""
+        problems = [small_problem(seed, m=12, q=3) for seed in (21, 22)]
+        x, _, spec = problems[0]
+        problems[0] = (x, forward(initial_network(spec), x), spec)
+        options = dict(learning_rate=1e308, max_iters=5, gradient_clip=None)
+        train_gd(*problems[0], **options)
+        with pytest.raises(NumericalError, match=r"^non-finite loss at iteration 1$"):
+            train_gd(*problems[1], **options)
+        with pytest.raises(NumericalError, match=r"^non-finite loss at iteration 1$"):
+            train_gd_stack(*stack_args(problems), **options)
+
+    @pytest.mark.parametrize("m, hidden", [(10, (4,)), (135, (20,)), (12, (400, 200))])
+    @pytest.mark.parametrize("fits", [1, 3, 2**20])
+    def test_stack_size_counts_the_bytes_buffers_take(self, monkeypatch, m, hidden, fits):
+        """As many fits to a stack as keep their ``_buffers`` within
+        ``STACK_BYTES``, and at least one."""
+        spec = NetworkSpec(input_dim=3, hidden=hidden, output_dim=2)
+        per_fit = sum(b.nbytes for layer in _buffers(spec, np.zeros((m, 3))) for b in layer)
+        monkeypatch.setattr(karnet.gradient_descent, "STACK_BYTES", fits * per_fit)
+        assert karnet.gradient_descent._stack_size(spec, m) == fits
+        monkeypatch.setattr(karnet.gradient_descent, "STACK_BYTES", fits * per_fit - 1)
+        assert karnet.gradient_descent._stack_size(spec, m) == max(fits - 1, 1)

@@ -73,6 +73,21 @@ class TestSpecAndShapes:
         assert all(type(h) is int for h in spec.hidden)
         assert spec.weight_shapes == [(3, 3), (4, 4), (5, 1)]
 
+    def test_numpy_integer_spec_writes_a_json_report(self, tmp_path):
+        """Every size and the seed are kept as Python ints, so a fit on a
+        numpy-integer spec writes its report as strict JSON."""
+        from karnet import make_xor, train_n_layer
+        from karnet.experiments import write_report
+
+        ds = make_xor()
+        spec = NetworkSpec(np.int64(2), (2,), np.int64(1), seed=np.uint64(7))
+        assert [type(v) for v in (spec.input_dim, spec.output_dim, spec.seed)] == [int] * 3
+        _, rep = train_n_layer(ds.x, ds.y, spec)
+        write_report(rep.to_dict(), tmp_path / "report.json")
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["spec"] == {"input_dim": 2, "hidden": [2], "output_dim": 1,
+                                   "activation": "logit-sigmoid", "seed": 7}
+
     def test_wrong_weight_shape_rejected(self):
         spec = NetworkSpec(input_dim=2, hidden=(3,), output_dim=1)
         with pytest.raises(DimensionError):
