@@ -34,7 +34,7 @@ from .data import (
     stratified_folds,
 )
 from .errors import ConfigError, DataError, NumericalError, check_finite, check_seed
-from .gradient_descent import _stack_size, check_options, train_gd, train_gd_stack
+from .gradient_descent import _stack_size, check_options, train_gd_stack
 from .network import Network, NetworkSpec, forward
 from .training import error_rate, train_n_layer, train_random_hidden
 
@@ -111,15 +111,20 @@ def _spec(x: np.ndarray, y: np.ndarray, hidden: tuple[int, ...], seed: int) -> N
     return NetworkSpec(input_dim=x.shape[1], hidden=hidden, output_dim=y.shape[1], seed=seed)
 
 
+def _fit(cfg: ExperimentConfig, fits: list) -> list:
+    """A (net, report) for each (x, y, spec) of ``fits``, all of one shape: "gd"
+    descends them as one stack, "kar" fits each in turn."""
+    if cfg.trainer == "gd":
+        return train_gd_stack(*zip(*fits), learning_rate=cfg.learning_rate,
+                              max_iters=cfg.max_iters, gradient_clip=cfg.gradient_clip)
+    return [train_n_layer(x, y, spec, rcond=cfg.rcond) for x, y, spec in fits]
+
+
 def _train_once(
     cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray, hidden: tuple[int, ...], seed: int
 ):
-    """Fit one net with the trainer ``cfg.trainer`` names, "kar" or "gd"."""
-    spec = _spec(x, y, hidden, seed)
-    if cfg.trainer == "gd":
-        return train_gd(x, y, spec, learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
-                        gradient_clip=cfg.gradient_clip)
-    return train_n_layer(x, y, spec, rcond=cfg.rcond)
+    """Fit one net: ``_fit`` on one fit."""
+    return _fit(cfg, [(x, y, _spec(x, y, hidden, seed))])[0]
 
 
 def _scaled(train: Dataset, test: Dataset, eps: float) -> tuple[Dataset, Dataset]:
@@ -299,44 +304,35 @@ def _select_hidden(
     return cfg.hidden_for(best_h), fits
 
 
-def _stacked(cfg: ExperimentConfig) -> bool:  # cv's gd fits of fixed layers descend in stacks
-    return cfg.trainer == "gd" and not cfg.grid
-
-
 def _cv_rows(cfg: ExperimentConfig, ds: Dataset, units: list) -> list[dict]:
-    """The report rows of ``units``, in order: each (trial, fold) selects its
-    hidden sizes, fits on its training folds and scores the held-out one.
-    Under ``_stacked`` a training-row count's units descend in stacks
-    (``train_gd_stack``), and a row's ``train_wall_time`` is its share of its
-    stack's seconds.  Module-level, so that a pool worker can run it."""
-    rows, stacks = [], {}
-    gd = dict(learning_rate=cfg.learning_rate, max_iters=cfg.max_iters,
-              gradient_clip=cfg.gradient_clip)
+    """The report rows of ``units``, in order: each (trial, fold) scales its folds,
+    selects its hidden sizes (with a grid) and queues its final fit by (training
+    rows, hidden).  One ``_fit`` call fits a queue: a kar one at once, a gd one at
+    ``_stack_size`` fits, each row's ``train_wall_time`` an equal share, and any
+    left at the end.  Module-level, so that a pool worker can run it."""
+    rows, queues = [], {}
     for trial, fold in units:
         plan = stratified_folds(ds.labels, cfg.folds, _unit_seed(cfg.seed, trial))
         train = split_rows(ds, plan.train_indices(fold))
         train_s, test_s = _scaled(train, split_rows(ds, plan.test_indices(fold)), cfg.scale_eps)
-        seed, m = _unit_seed(cfg.seed, trial, fold, 1), train_s.n_samples
-        rows.append(row := {"trial": trial, "fold": fold, "trainer": cfg.trainer,
-                            "hidden": list(cfg.layers), "select_fits": 0, "select_wall_time": 0.0})
-        if _stacked(cfg):
-            spec = _spec(train_s.x, train_s.y, cfg.layers, seed)
-            stacks.setdefault(m, []).append((row, test_s, (train_s.x, train_s.y, spec)))
-            if len(stacks[m]) == _stack_size(spec, m):  # a full stack descends; its inputs go
-                _score(stack := stacks.pop(m), train_gd_stack(*zip(*(f for *_, f in stack)), **gd))
-            continue
         t0 = time.perf_counter()
-        hidden, row["select_fits"] = (_select_hidden(cfg, train, _unit_seed(cfg.seed, trial, fold))
-                                      if cfg.grid else (cfg.layers, 0))
-        row.update(hidden=list(hidden), select_wall_time=time.perf_counter() - t0)
-        _score([(row, test_s)], [_train_once(cfg, train_s.x, train_s.y, hidden, seed)])
-    for stack in stacks.values():
-        _score(stack, train_gd_stack(*zip(*(f for *_, f in stack)), **gd))
+        hidden, fits = (_select_hidden(cfg, train, _unit_seed(cfg.seed, trial, fold))
+                        if cfg.grid else (cfg.layers, 0))
+        rows.append(row := {"trial": trial, "fold": fold, "trainer": cfg.trainer,
+                            "hidden": list(hidden), "select_fits": fits,
+                            "select_wall_time": time.perf_counter() - t0})
+        spec = _spec(train_s.x, train_s.y, hidden, _unit_seed(cfg.seed, trial, fold, 1))
+        key = (train_s.n_samples, hidden)
+        queues.setdefault(key, []).append((row, test_s, (train_s.x, train_s.y, spec)))
+        if cfg.trainer == "kar" or len(queues[key]) == _stack_size(spec, key[0]):
+            _score(cfg, queues.pop(key))  # its inputs go before more units are read
+    for queue in queues.values():
+        _score(cfg, queue)
     return rows
 
 
-def _score(rows: list, fits: list) -> None:  # each (row, held-out rows, ...) by its (net, report)
-    for (row, test, *_), (net, rep) in zip(rows, fits, strict=True):
+def _score(cfg: ExperimentConfig, queue: list) -> None:  # fit each (row, test, fit); score
+    for (row, test, _), (net, rep) in zip(queue, _fit(cfg, [f for *_, f in queue]), strict=True):
         row.update(accuracy=1.0 - _test_error(net, test), train_sse=rep.train_sse,
                    train_wall_time=rep.wall_time)
 
@@ -358,16 +354,17 @@ def _process_pool(workers: int):
 
 
 def _pool_rows(cfg: ExperimentConfig, ds: Dataset, units: list, workers: int) -> list[dict]:
-    """Rows of ``units``, in order, from ``workers`` processes, a unit to a task (under
-    ``_stacked``, a run to a worker); a worker's KarnetError is raised here.  A pool
-    that cannot start or breaks returns the rows of the tasks it finished."""
+    """Rows of ``units``, in order, from ``workers`` processes, a unit to a task (gd of
+    fixed layers: a run to a worker, to fill its queues); a worker's KarnetError is
+    raised here.  A pool that cannot start or breaks returns its finished tasks' rows."""
     from concurrent.futures.process import BrokenProcessPool
 
     rows: list[dict] = []
     try:
         pool = _process_pool(workers)
         try:
-            size = -(-len(units) // workers) if _stacked(cfg) else 1  # one run per worker
+            # a run fills a worker's gd stacks; single units balance grid selection's costs
+            size = -(-len(units) // workers) if cfg.trainer == "gd" and not cfg.grid else 1
             for task_rows in pool.map(_cv_rows, repeat(cfg), repeat(ds),
                                       [units[i:i + size] for i in range(0, len(units), size)]):
                 rows += task_rows
@@ -393,8 +390,8 @@ def run_cv(cfg: ExperimentConfig) -> dict:
 
     The first (trial, fold) unit runs here.  If the rest would take at least
     ``POOL_MIN_SECONDS`` at its pace and BLAS runs one thread, which forked
-    workers inherit, they go to one process per usable CPU; gd fits of fixed
-    ``layers`` descend in stacks (``_cv_rows``).  Rows keep order.
+    workers inherit, they go to one process per usable CPU.  Every unit takes
+    ``_cv_rows``' one pipeline, where gd fits of one shape stack.  Rows keep order.
     """
     ds = load_dataset(cfg)
     if ds.class_count < 2:

@@ -68,9 +68,10 @@ def _buffers(spec: NetworkSpec, xm: np.ndarray) -> list[tuple]:
 
 
 def _stack_size(spec: NetworkSpec, m: int) -> int:
-    """Fits of ``m`` rows to a stack: as many as keep their ``_buffers`` (16 x rows
-    + 18 x cols bytes a row per layer) within ``STACK_BYTES``, at least one."""
-    return max(1, STACK_BYTES // (m * sum(16 * r + 18 * c for r, c in spec.weight_shapes)))
+    """Fits of ``m`` rows to a stack: as many as keep their ``_buffers`` within
+    ``STACK_BYTES``, at least one."""
+    row = sum(b.nbytes for layer in _buffers(spec, np.zeros((1, spec.input_dim))) for b in layer)
+    return max(1, STACK_BYTES // (m * row))
 
 
 def _fill(ws: list, bufs: list) -> np.ndarray:
@@ -132,31 +133,30 @@ def train_gd_stack(
     xs, ys, specs: list[NetworkSpec], *, learning_rate: float, max_iters: int,
     gradient_clip: float | None,
 ) -> list[tuple[Network, TrainReport]]:
-    """``train_gd`` on each (x, y, spec), all of one shape, bit for bit: the fits
-    descend in lockstep as one stack, which a non-finite loss in any ends (how
-    many fit ``STACK_BYTES``: ``_stack_size``).  Each report's wall time is an
-    equal share of the stack's; one fit descends on its own matrices."""
+    """``train_gd`` on each (x, y, spec), all of one shape: the fits descend in
+    lockstep as one stack, which a non-finite loss in any ends (how many fit
+    ``STACK_BYTES``: ``_stack_size``).  Each fit's bits are those it gets in a
+    stack of one, ``train_gd``; each report's wall time is an equal share of
+    the stack's."""
     t0 = time.perf_counter()
     check_options(learning_rate, max_iters, gradient_clip)
-    stacked = len(specs) > 1  # else each per-fit value is a numpy scalar, cheaper than an array
     arrays = zip(*((*_check_spec(*f), *initial_network(f[0]).weights) for f in zip(specs, xs, ys)))
-    xm, ym, *ws = (np.stack(v) if stacked else v[0] for v in arrays)
+    xm, ym, *ws = map(np.stack, arrays)
     bufs = _buffers(specs[0], xm)
     for it in range(max_iters):
         loss, grads = _sse_and_gradients(ws, ym, bufs)
-        if not math.isfinite(np.maximum.reduce(loss) if stacked else loss):  # maximum keeps NaN
+        if not math.isfinite(np.maximum.reduce(loss)):  # maximum keeps NaN
             raise NumericalError(f"non-finite loss at iteration {it}")
-        if gradient_clip is not None:  # a stack keeps its fit axis, so each norm scales its fit
-            gnorm = np.sqrt(sum(np.add.reduce(g * g, (-2, -1), keepdims=stacked) for g in grads))
+        if gradient_clip is not None:  # keepdims: each fit's norm scales its own gradients
+            gnorm = np.sqrt(sum(np.add.reduce(g * g, (-2, -1), keepdims=True) for g in grads))
             scale = gradient_clip / np.fmax(gnorm, gradient_clip)  # exactly 1.0 within the clip
             for g in grads:
                 g *= scale
         for w, g in zip(ws, grads):
             w -= np.multiply(learning_rate, g, out=g)
-    _fill(ws, bufs)
-    a, ym, *ws = (v.reshape(-1, *v.shape[-2:]) for v in (bufs[-1][0], ym, *ws))
+    _fill(ws, bufs)  # the output layer's inputs, which each report scores
     nets = [Network(spec=spec, weights=[w[i] for w in ws]) for i, spec in enumerate(specs)]
-    reps = [_finish_report(net, a[i], apply_sigmoid(ym[i]), ym[i], t0, trainer="gd",
+    reps = [_finish_report(net, bufs[-1][0][i], apply_sigmoid(ym[i]), ym[i], t0, trainer="gd",
                            iterations=max_iters,
                            init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias")
             for i, net in enumerate(nets)]

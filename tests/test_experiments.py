@@ -255,16 +255,19 @@ def _cache_fits(monkeypatch):
     """Serve repeated fits on identical inputs from a cache; returns the
     list of every fit asked for."""
     cache, asked = {}, []
-    train_once = experiments._train_once
+    fit = experiments._fit
 
-    def cached(cfg, x, y, hidden, seed):
-        key = (cfg, hidden, seed, x.tobytes(), y.tobytes())
-        asked.append(key)
-        if key not in cache:
-            cache[key] = train_once(cfg, x, y, hidden, seed)
-        return cache[key]
+    def cached(cfg, fits):
+        nets = []
+        for x, y, spec in fits:
+            key = (cfg, spec.hidden, spec.seed, x.tobytes(), y.tobytes())
+            asked.append(key)
+            if key not in cache:
+                cache[key] = fit(cfg, [(x, y, spec)])[0]
+            nets.append(cache[key])
+        return nets
 
-    monkeypatch.setattr(experiments, "_train_once", cached)
+    monkeypatch.setattr(experiments, "_fit", cached)
     return asked
 
 
@@ -528,8 +531,8 @@ class TestCvPool:
 
 
 class TestCvStacks:
-    """cv descends gd fits of fixed layers in stacks of equal training-row
-    count; its report is the one a fit at a time gives, wall times aside."""
+    """cv descends gd final fits of one (training rows, hidden) shape in
+    stacks; its report is the one a fit at a time gives, wall times aside."""
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
     @pytest.mark.parametrize("folds", [10, 7])
@@ -539,7 +542,8 @@ class TestCvStacks:
         stacks, buffers = [], gradient_descent._buffers
 
         def counting(spec, xm):
-            stacks.append(xm.shape[:-2])
+            if xm.shape[-2] > 1:  # a descent's, not _stack_size's one-row sizing
+                stacks.append(xm.shape[:-2])
             return buffers(spec, xm)
 
         monkeypatch.setattr(gradient_descent, "_buffers", counting)
@@ -547,7 +551,7 @@ class TestCvStacks:
         monkeypatch.setattr(gradient_descent, "STACK_BYTES", 1)
         force_inline(monkeypatch)
         run_cv(ExperimentConfig(out=str(tmp_path / "alone"), **cfg))
-        assert stacks == [()] * 2 * folds  # the bound splits every stack to one fit
+        assert stacks == [(1,)] * 2 * folds  # the bound splits every stack to one fit
         monkeypatch.setattr(gradient_descent, "STACK_BYTES", bound)
         stacks.clear()
         started = force_pool(monkeypatch) if pooled else []
@@ -560,7 +564,7 @@ class TestCvStacks:
         assert len(rows) == (1 if folds == 10 else 2)
         if pooled:
             assert started == [min(experiments._usable_cpus(), 2 * folds - 1)]
-            assert stacks == [()]  # the probe; the workers' stacks are not seen here
+            assert stacks == [(1,)]  # the probe; the workers' stacks are not seen here
         else:  # the probe, then each training-row count's units in stacks under the bound
             spec = NetworkSpec(4, (5, 3), 3)
             size = {m: gradient_descent.STACK_BYTES // sum(
@@ -568,8 +572,34 @@ class TestCvStacks:
                 for m in rows}
             sizes = [min(size[m], n - i) for m, n in rows.items() for i in range(0, n, size[m])]
             assert max(sizes) > 1
-            assert stacks[0] == () and sorted(stacks[1:]) == sorted(
-                (size,) if size > 1 else () for size in sizes)
+            assert stacks[0] == (1,) and sorted(stacks[1:]) == sorted((size,) for size in sizes)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+    def test_grid_selected_fits_report_as_fits_one_at_a_time(self, tmp_path, monkeypatch, pooled):
+        """With a grid, inline final fits of one selected shape share stacks, and
+        a pooled task is one unit; either way the report is the one a fit at a
+        time gives, wall times aside."""
+        cfg = dict(dataset="iris", grid=(1, 3, 5), pattern="exp2", trainer="gd", max_iters=30,
+                   gradient_clip=1.0, trials=2, folds=5, seed=4)
+        sizes, stack = [], experiments.train_gd_stack
+        monkeypatch.setattr(experiments, "train_gd_stack",
+                            lambda *a, **k: sizes.append(len(a[0])) or stack(*a, **k))
+        bound = gradient_descent.STACK_BYTES
+        monkeypatch.setattr(gradient_descent, "STACK_BYTES", 1)
+        force_inline(monkeypatch)
+        run_cv(ExperimentConfig(out=str(tmp_path / "alone"), **cfg))
+        assert set(sizes) == {1}
+        monkeypatch.setattr(gradient_descent, "STACK_BYTES", bound)
+        sizes.clear()
+        started = force_pool(monkeypatch) if pooled else []
+        run_cv(ExperimentConfig(out=str(tmp_path / "stacked"), **cfg))
+        assert _cv_blob(tmp_path / "stacked") == _cv_blob(tmp_path / "alone")
+        if pooled:  # the probe's fits; the workers' are not seen here
+            assert started == [min(experiments._usable_cpus(), 2 * 5 - 1)]
+            assert set(sizes) == {1}
+        else:
+            assert max(sizes) > 1
         assert multiprocessing.active_children() == []
 
     def test_a_full_stack_descends_before_more_units_are_read(self, tmp_path, monkeypatch):
