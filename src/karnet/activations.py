@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-try:  # the clip ufunc without np.clip's wrappers, which cost more than a small clamp
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
+# the clip ufunc without np.clip's wrappers, which cost more than a small clamp
+from numpy._core.umath import clip as _clip
 
 __all__ = ["ACTIVATION", "CLAMP_EPS", "LO", "HI", "clamp", "logit", "logit_deriv",
            "apply_logit", "apply_sigmoid"]

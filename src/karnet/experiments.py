@@ -51,8 +51,6 @@ __all__ = [
 
 PAPER_GRID = (1, 2, 3, 5, 10, 20, 30, 50, 80, 100, 200, 500)
 IRIS_SWEEP_GRID = tuple(range(79, 94))
-# seconds of cv units worth a fork pool (0.01 s to start on 2 cores; pooling won from 0.2 s)
-POOL_MIN_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -354,17 +352,18 @@ def _process_pool(workers: int):
 
 
 def _pool_rows(cfg: ExperimentConfig, ds: Dataset, units: list, workers: int) -> list[dict]:
-    """Rows of ``units``, in order, from ``workers`` processes, a unit to a task (gd of
-    fixed layers: a run to a worker, to fill its queues); a worker's KarnetError is
-    raised here.  A pool that cannot start or breaks returns its finished tasks' rows."""
+    """Rows of ``units``, in order, from ``workers`` processes, a run of units to a
+    worker (with a grid: a unit to a task); a worker's KarnetError is raised here.
+    A pool that cannot start or breaks returns its finished tasks' rows."""
     from concurrent.futures.process import BrokenProcessPool
 
     rows: list[dict] = []
     try:
         pool = _process_pool(workers)
         try:
-            # a run fills a worker's gd stacks; single units balance grid selection's costs
-            size = -(-len(units) // workers) if cfg.trainer == "gd" and not cfg.grid else 1
+            # a run fills a worker's gd stacks; grid selection's units differ in cost,
+            # and single units balance them
+            size = 1 if cfg.grid else -(-len(units) // workers)
             for task_rows in pool.map(_cv_rows, repeat(cfg), repeat(ds),
                                       [units[i:i + size] for i in range(0, len(units), size)]):
                 rows += task_rows
@@ -380,18 +379,19 @@ def run_cv(cfg: ExperimentConfig) -> dict:
 
     Fold plans depend only on (seed, trial), never on the trainer, so
     different trainers evaluated with the same seed see identical splits.
-    A sweep grid comes with an exp2, exp3 or exp4 pattern (one needs the
-    other); the hidden size is then selected per fold by an inner
-    cross-validation on the training subset only, and ``layers`` is trained
-    otherwise.  Each row times that selection (``select_wall_time``) apart
+    A run names ``layers`` or a sweep grid, not both.  A grid comes with an
+    exp2, exp3 or exp4 pattern (one needs the other), and the hidden size is
+    then selected per fold by an inner cross-validation on the training
+    subset only.  Each row times that selection (``select_wall_time``) apart
     from the final fit (``train_wall_time``); ``aggregate.total_wall_time``
     is their sum.  Each row counts the selection's inner fits
     (``select_fits``, 0 without a grid); ``aggregate.select_fits`` is their sum.
 
-    The first (trial, fold) unit runs here.  If the rest would take at least
-    ``POOL_MIN_SECONDS`` at its pace and BLAS runs one thread, which forked
-    workers inherit, they go to one process per usable CPU.  Every unit takes
-    ``_cv_rows``' one pipeline, where gd fits of one shape stack.  Rows keep order.
+    Where BLAS runs one thread, which forked workers inherit, and two or more
+    CPUs are usable, the (trial, fold) units go to one process per usable CPU
+    (no more than there are units); otherwise they run here, as do any that a
+    broken pool left.  Every unit takes ``_cv_rows``' one pipeline, where gd
+    fits of one shape stack.  Rows keep order.
     """
     ds = load_dataset(cfg)
     if ds.class_count < 2:
@@ -400,8 +400,8 @@ def run_cv(cfg: ExperimentConfig) -> dict:
         raise ConfigError("cv --grid needs --pattern exp2, exp3 or exp4 to size its nets")
     if cfg.pattern != "fixed" and not cfg.grid:
         raise ConfigError(f"cv --pattern {cfg.pattern} needs a sweep --grid")
-    if not cfg.grid and not cfg.layers:
-        raise ConfigError("cv needs --layers or a sweep --grid")
+    if bool(cfg.grid) == bool(cfg.layers):
+        raise ConfigError("cv needs --layers or a sweep --grid, not both")
     if cfg.folds > ds.n_samples:
         raise ConfigError(f"folds={cfg.folds} exceed {ds.n_samples} samples")
     if cfg.folds < 2:
@@ -409,12 +409,9 @@ def run_cv(cfg: ExperimentConfig) -> dict:
     outdir = _output_dir(cfg)
 
     units = [(trial, fold) for trial in range(cfg.trials) for fold in range(cfg.folds)]
-    t0 = time.perf_counter()
-    rows = _cv_rows(cfg, ds, units[:1])
     one_thread = all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
-    workers = min(_usable_cpus(), len(units) - 1) if one_thread else 1
-    if workers > 1 and (time.perf_counter() - t0) * (len(units) - 1) >= POOL_MIN_SECONDS:
-        rows += _pool_rows(cfg, ds, units[1:], workers)
+    workers = min(_usable_cpus(), len(units)) if one_thread else 1
+    rows = _pool_rows(cfg, ds, units, workers) if workers > 1 else []
     rows += _cv_rows(cfg, ds, units[len(rows):])
 
     accuracies = [r["accuracy"] for r in rows]

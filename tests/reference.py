@@ -24,19 +24,24 @@ def with_ones(g: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((g.shape[0], 1)), g])
 
 
-def reference_n_layer(x: np.ndarray, y: np.ndarray, spec: NetworkSpec) -> list[np.ndarray]:
-    """The weights ``train_n_layer`` solves for, by the equations above."""
+def reference_targets(y: np.ndarray, spec: NetworkSpec) -> list[np.ndarray]:
+    """The peeled targets B_1, ..., B_n, by the equations above."""
     n = spec.n_layers
     rng = np.random.default_rng(spec.seed)
     random = {k: _orthonormal_layer(rng, spec.weight_shapes[k - 1]) for k in range(2, n + 1)}
     targets = {n: apply_sigmoid(y)}
     for k in range(n, 1, -1):
         bias, node = random[k][:1, :], random[k][1:, :]
-        targets[k - 1] = apply_sigmoid((targets[k] - np.ones((x.shape[0], 1)) @ bias)
+        targets[k - 1] = apply_sigmoid((targets[k] - np.ones((y.shape[0], 1)) @ bias)
                                        @ pinv(node).pinv)
+    return [targets[k] for k in range(1, n + 1)]
+
+
+def reference_n_layer(x: np.ndarray, y: np.ndarray, spec: NetworkSpec) -> list[np.ndarray]:
+    """The weights ``train_n_layer`` solves for, by the equations above."""
     weights, g = [], x
-    for k in range(1, n + 1):
+    for k, target in enumerate(reference_targets(y, spec), start=1):
         if k > 1:
             g = apply_logit(with_ones(g) @ weights[-1])
-        weights.append(pinv(with_ones(g)).pinv @ targets[k])
+        weights.append(pinv(with_ones(g)).pinv @ target)
     return weights

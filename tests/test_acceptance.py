@@ -327,15 +327,16 @@ def _strip_wall_times(obj):
 
 def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Repeated cv and iris-sweep runs with one seed/config match byte for
-    byte once wall-time fields are removed; so does a cv run whose units
-    after the first go to the process pool.  The cv runs cover fixed layers
-    and a selection grid, whose inner fits the selection prunes."""
+    byte once wall-time fields are removed; so does a cv run whose units go
+    to the process pool.  The cv runs cover fixed layers and a selection
+    grid, whose inner fits the selection prunes."""
     import karnet.experiments as experiments
 
     blobs = {"cv": [], "cv_grid": [], "sweep": [], "sweep_csv": []}
     cv_runs = {"cv": dict(layers=(20,)), "cv_grid": dict(grid=(1, 5, 20), pattern="exp2")}
-    for tag, pool_min_seconds in (("a", float("inf")), ("b", float("inf")), ("pooled", 0.0)):
-        monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", pool_min_seconds)
+    usable_cpus = experiments._usable_cpus
+    for tag, cpus in (("a", lambda: 1), ("b", lambda: 1), ("pooled", usable_cpus)):
+        monkeypatch.setattr(experiments, "_usable_cpus", cpus)
         for name, options in cv_runs.items():
             out_cv = tmp_path / f"{name}_{tag}"
             run_cv(ExperimentConfig(dataset="iris", out=str(out_cv), seed=5,

@@ -302,12 +302,14 @@ class TestExitCodes:
         ["--grid", "1,2,500", "--layers", "5"],
         ["--pattern", "exp2"],  # a pattern with no grid to apply it to
         ["--pattern", "exp4", "--layers", "5"],
+        ["--grid", "1,2", "--pattern", "exp2", "--layers", "5"],  # the grid would ignore --layers
     ])
     def test_cv_grid_and_pattern_come_together(self, tmp_path, capsys, options):
         code = run_cli("cv", "--data", "iris", *options, "--trials", "1", "--folds", "3",
                        "--out", str(tmp_path))
         assert code == EXIT_CONFIG
-        assert "needs" in capsys.readouterr().err
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "needs" in errors[0]
         assert not (tmp_path / "report.json").exists()
 
     def test_data_error(self, tmp_path):

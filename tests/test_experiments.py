@@ -196,9 +196,12 @@ class TestRunCv:
         assert a == b
 
 
+_usable_cpus = experiments._usable_cpus  # the real count, which force_inline replaces
+
+
 def force_inline(monkeypatch):
     """Run every cv unit in this process."""
-    monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", float("inf"))
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
 
 
 def skip_unless_cv_can_pool():
@@ -210,8 +213,9 @@ def skip_unless_cv_can_pool():
 
 
 def force_pool(monkeypatch):
-    """Hand every cv unit after the first to the process pool, whatever it
-    costs; returns the worker count of each pool started."""
+    """Hand every cv unit to the process pool, undoing ``force_inline``;
+    returns the worker count of each pool started."""
+    monkeypatch.setattr(experiments, "_usable_cpus", _usable_cpus)
     skip_unless_cv_can_pool()
     started = []
     factory = experiments._process_pool
@@ -220,7 +224,6 @@ def force_pool(monkeypatch):
         started.append(workers)
         return factory(workers)
 
-    monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", 0.0)
     monkeypatch.setattr(experiments, "_process_pool", counting)
     return started
 
@@ -374,15 +377,14 @@ class TestSelectHidden:
         assert visits[:4] == [(5, 0), (5, 1), (5, 2), (5, 3)]
 
 
-# exercised in a worker: unit (0, 2) of this run overflows (lr 1e148, seed 0);
-# unit (0, 0), which runs first and in this process, does not
+# exercised in a worker: unit (0, 2) of this run overflows (lr 1e148, seed 0)
 _OVERFLOWING_GD_CV = ["cv", "--data", "iris", "--layers", "3", "--trainer", "gd",
                       "--learning-rate", "1e148", "--max-iters", "1", "--trials", "1",
                       "--folds", "5", "--seed", "0"]
 
 
-# run as a script with no __main__ guard: run_cv pools its 3 units after the
-# first, prints the pool's worker count and waits for stdin to close
+# run as a script with no __main__ guard: run_cv pools its 4 units, prints the
+# pool's worker count and waits for stdin to close
 _NO_GUARD_SCRIPT = """\
 import sys
 import karnet.experiments as experiments
@@ -391,7 +393,6 @@ from karnet import ExperimentConfig, run_cv
 started = []
 pool = experiments._process_pool
 experiments._process_pool = lambda workers: started.append(workers) or pool(workers)
-experiments.POOL_MIN_SECONDS = 0.0
 run_cv(ExperimentConfig(dataset="iris", layers=(8,), trials=1, folds=4, seed=3,
                         out=sys.argv[1]))
 print("pools", *started, flush=True)
@@ -417,7 +418,7 @@ class TestCvPool:
         started = force_pool(monkeypatch)
         rep = run_cv(ExperimentConfig(out=str(tmp_path / "pooled"), **cfg))
         units = cfg["trials"] * cfg["folds"]
-        assert started == [min(experiments._usable_cpus(), units - 1)]
+        assert started == [min(experiments._usable_cpus(), units)]
         assert _cv_blob(tmp_path / "pooled") == _cv_blob(tmp_path / "inline")
         parts = sum(r["select_wall_time"] + r["train_wall_time"] for r in rep["rows"])
         assert rep["aggregate"]["total_wall_time"] == pytest.approx(parts, rel=1e-12)
@@ -436,7 +437,7 @@ class TestCvPool:
             errors.append([ln for ln in capsys.readouterr().err.splitlines()
                            if ln.startswith("error:")])
             assert not (tmp_path / tag / "report.json").exists()
-        assert started == [min(experiments._usable_cpus(), 4)]
+        assert started == [min(experiments._usable_cpus(), 5)]
         assert errors[0] == errors[1] and "non-finite" in errors[0][0]
         assert multiprocessing.active_children() == []
 
@@ -466,7 +467,7 @@ class TestCvPool:
             _, err = proc.communicate("", timeout=120)
         assert proc.returncode == 0, err
         assert "Traceback" not in err
-        assert started.split() == ["pools", str(min(experiments._usable_cpus(), 3))]
+        assert started.split() == ["pools", str(min(experiments._usable_cpus(), 4))]
         assert children == ""
 
     @pytest.mark.parametrize("value", ["2", None])
@@ -502,7 +503,7 @@ class TestCvPool:
 
     @pytest.mark.parametrize("rows_before_break", [None, 1])
     def test_broken_pool_falls_back_inline(self, tmp_path, monkeypatch, rows_before_break):
-        """A pool that cannot start (None) or breaks after a row: the units
+        """A pool that cannot start (None) or breaks after a task: the units
         it did not finish run in this process."""
         cfg = dict(dataset="iris", layers=(6,), trials=1, folds=4, seed=9)
         force_inline(monkeypatch)
@@ -523,7 +524,6 @@ class TestCvPool:
                 raise BrokenProcessPool("cannot start")
             return Breaking()
 
-        monkeypatch.setattr(experiments, "POOL_MIN_SECONDS", 0.0)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(experiments, "_process_pool", factory)
         run_cv(ExperimentConfig(out=str(tmp_path / "fallback"), **cfg))
@@ -560,19 +560,19 @@ class TestCvStacks:
         ds = load_iris()
         plans = [stratified_folds(ds.labels, folds, experiments._unit_seed(4, t)) for t in range(2)]
         rows = Counter(int(np.count_nonzero(plans[t].assignments != f))  # each unit's training rows
-                       for t in range(2) for f in range(folds) if (t, f) != (0, 0))
+                       for t in range(2) for f in range(folds))
         assert len(rows) == (1 if folds == 10 else 2)
         if pooled:
-            assert started == [min(experiments._usable_cpus(), 2 * folds - 1)]
-            assert stacks == [(1,)]  # the probe; the workers' stacks are not seen here
-        else:  # the probe, then each training-row count's units in stacks under the bound
+            assert started == [min(experiments._usable_cpus(), 2 * folds)]
+            assert stacks == []  # the workers' stacks are not seen here
+        else:  # each training-row count's units in stacks under the bound
             spec = NetworkSpec(4, (5, 3), 3)
             size = {m: gradient_descent.STACK_BYTES // sum(
                 b.nbytes for t in buffers(spec, np.zeros((m, 4))) for b in t)
                 for m in rows}
             sizes = [min(size[m], n - i) for m, n in rows.items() for i in range(0, n, size[m])]
             assert max(sizes) > 1
-            assert stacks[0] == (1,) and sorted(stacks[1:]) == sorted((size,) for size in sizes)
+            assert sorted(stacks) == sorted((size,) for size in sizes)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
@@ -595,9 +595,9 @@ class TestCvStacks:
         started = force_pool(monkeypatch) if pooled else []
         run_cv(ExperimentConfig(out=str(tmp_path / "stacked"), **cfg))
         assert _cv_blob(tmp_path / "stacked") == _cv_blob(tmp_path / "alone")
-        if pooled:  # the probe's fits; the workers' are not seen here
-            assert started == [min(experiments._usable_cpus(), 2 * 5 - 1)]
-            assert set(sizes) == {1}
+        if pooled:  # the workers' fits are not seen here
+            assert started == [min(experiments._usable_cpus(), 2 * 5)]
+            assert sizes == []
         else:
             assert max(sizes) > 1
         assert multiprocessing.active_children() == []

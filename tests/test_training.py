@@ -23,7 +23,7 @@ from karnet.errors import RankDeficiencyError
 from karnet.linalg import lstsq, pinv, require_rank
 from karnet.network import add_bias_column
 from karnet.training import _orthonormal_layer
-from reference import reference_n_layer
+from reference import reference_n_layer, reference_targets, with_ones
 
 
 def spec_for(x, y, hidden, seed=0):
@@ -452,3 +452,32 @@ class TestReference:
             got, want = forward(net, test.x), forward(ref, test.x)
             assert np.max(np.abs(got - want)) <= bound, seed
             assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1)), seed
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (20,), (90,), (3, 3, 3, 3), (40, 20),
+                                        (400, 200, 100)])
+    def test_every_layer_solves_its_target_as_well_as_its_conditioning_allows(self, hidden):
+        """A certificate for every solve of both: layer k's residual inside the
+        range its solve kept, ||U_r^T (a W_k - B_k)|| / ||B_k||, is at most
+        kappa * eps, where a = [1, G_{k-1}] on the training rows, U_r holds
+        its r leading left singular vectors, r is the rank the solve kept at
+        karnet's default cutoff and kappa = s_1 / s_r.  B_k is the reference's
+        peeled target, so a wrong peel fails it too.  The largest ratio to
+        kappa * eps read 0.125 over these seeds and 0.40 over seeds 0-99
+        (0.46 under OpenBLAS's Haswell kernels), with kappa up to 5e13."""
+        train = scale_minmax(iris_train_test_split(load_iris())[0], 0.01)
+        eps = np.finfo(np.float64).eps
+        for seed in range(10):
+            spec = spec_for(train.x, train.y, hidden, seed)
+            targets = reference_targets(train.y, spec)
+            for weights, rank in (
+                (train_n_layer(train.x, train.y, spec)[0].weights, lambda a, b: lstsq(a, b).rank),
+                (reference_n_layer(train.x, train.y, spec), lambda a, b: pinv(a).rank),
+            ):
+                g = train.x
+                for k, (w, b) in enumerate(zip(weights, targets, strict=True), start=1):
+                    a = with_ones(g)
+                    u, s, _ = np.linalg.svd(a, full_matrices=False)
+                    r = rank(a, b)
+                    residual = np.linalg.norm(u[:, :r].T @ (a @ w - b)) / np.linalg.norm(b)
+                    assert residual <= s[0] / s[r - 1] * eps, (seed, k)
+                    g = apply_logit(a @ w)
