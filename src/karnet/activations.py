@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# the clip ufunc without np.clip's wrappers, which cost more than a small clamp
-from numpy._core.umath import clip as _clip
-
 __all__ = ["ACTIVATION", "CLAMP_EPS", "LO", "HI", "clamp", "logit", "logit_deriv",
            "apply_logit", "apply_sigmoid"]
 
@@ -24,7 +21,7 @@ LO, HI = CLAMP_EPS, 1.0 - CLAMP_EPS
 
 def clamp(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Clamp into the band ``[LO, HI]``, into ``out`` when one is given."""
-    return _clip(m, LO, HI, out=out)
+    return np.clip(m, LO, HI, out=out)
 
 
 def logit(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

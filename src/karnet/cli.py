@@ -119,7 +119,7 @@ _COMMANDS = {
 
 
 def build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config-file values with flags; flags win."""
+    """Merge config-file values with flags (flags win); refuse a flag its trainer does not read."""
     values: dict = {}
     if args.config:
         fields = {key: (name, parse) for key, name, parse, _ in _OPTIONS}
@@ -134,7 +134,12 @@ def build_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     for _, name, _, _ in _OPTIONS:
         if getattr(args, name, None) is not None:  # a flag the command does not take is unset
             values[name] = getattr(args, name)
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    unread = ("rcond",) if cfg.trainer == "gd" else ("learning_rate", "max_iters", "gradient_clip")
+    if flags := [f"--{key}" for key, name, *_ in _OPTIONS
+                 if name in unread and getattr(args, name, None) is not None]:
+        raise ConfigError(f"--trainer {cfg.trainer} does not read {' '.join(flags)}")
+    return cfg
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -84,8 +84,9 @@ class ExperimentConfig:
         check_seed(self.seed)
         if max(self.trials, self.folds, self.max_iters) >= 2**64:
             raise ConfigError("trials, folds and max_iters must be below 2**64")
-        if any(h < 1 for h in self.grid):
-            raise ConfigError(f"grid values must be >= 1, got {self.grid}")
+        if any(type(h) is bool or not isinstance(h, int | np.integer) or h < 1 for h in self.grid):
+            raise ConfigError(f"grid values must be integers >= 1, got {self.grid}")
+        object.__setattr__(self, "grid", tuple(map(int, self.grid)))  # numpy's as Python ints
         check_options(self.learning_rate, self.max_iters, self.gradient_clip)
         check_finite("rcond", self.rcond, positive=False)
 
@@ -219,9 +220,9 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
     rows = []  # (h, trial, train SSE, transformed SSE, train error, test error)
     for h in grid:
         for trial in range(cfg.trials):
-            spec = _spec(train.x, train.y, (int(h),), _unit_seed(cfg.seed, h, trial))
+            spec = _spec(train.x, train.y, (h,), _unit_seed(cfg.seed, h, trial))
             net, rep = train_random_hidden(train.x, train.y, spec, rcond=cfg.rcond)
-            rows.append((int(h), trial, rep.train_sse, rep.train_sse_transformed,
+            rows.append((h, trial, rep.train_sse, rep.train_sse_transformed,
                          rep.train_error_rate, _test_error(net, test)))
 
     _write_rows_csv(
@@ -231,7 +232,7 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
         [[h, trial, *map(repr, values)] for h, trial, *values in rows],
     )
     per_h = {}
-    for h in dict.fromkeys(int(h) for h in grid):
+    for h in dict.fromkeys(grid):
         # one 1-D array per statistic: a 2-D axis-0 mean sums in another order
         sse, sse_t, train_err, test_err = map(np.array, zip(*(r[2:] for r in rows if r[0] == h)))
         per_h[str(h)] = {
@@ -246,7 +247,7 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
         "command": "iris-sweep",
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "grid": [int(h) for h in grid],
+        "grid": list(grid),
         "scale_eps": cfg.scale_eps,
         "sweep_file": "sweep.csv",
         "per_h": per_h,
@@ -287,7 +288,7 @@ def _select_hidden(
         for fold in sorted(range(inner_k), key=lambda f: (fold_sums[f], f)):
             tr_s, va_s = scaled[fold]
             seed = _unit_seed(trial_seed, h, fold)
-            net, _ = _train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(int(h)), seed)
+            net, _ = _train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(h), seed)
             fits += 1
             accs[fold] = 1.0 - _test_error(net, va_s)
             left = inner_k - len(accs)
@@ -298,16 +299,16 @@ def _select_hidden(
             fold_sums = [total + acc for total, acc in zip(fold_sums, in_order)]
             mean_acc = float(np.mean(in_order))
             if mean_acc > best_acc:
-                best_h, best_acc = int(h), mean_acc
+                best_h, best_acc = h, mean_acc
     return cfg.hidden_for(best_h), fits
 
 
 def _cv_rows(cfg: ExperimentConfig, ds: Dataset, units: list) -> list[dict]:
     """The report rows of ``units``, in order: each (trial, fold) scales its folds,
     selects its hidden sizes (with a grid) and queues its final fit by (training
-    rows, hidden).  One ``_fit`` call fits a queue: a kar one at once, a gd one at
-    ``_stack_size`` fits, each row's ``train_wall_time`` an equal share, and any
-    left at the end.  Module-level, so that a pool worker can run it."""
+    rows, hidden).  One ``_fit`` call fits a queue of ``_stack_size`` fits, and any
+    left at the end; a row's trainer and ``train_wall_time`` come from its report.
+    Module-level, so that a pool worker can run it."""
     rows, queues = [], {}
     for trial, fold in units:
         plan = stratified_folds(ds.labels, cfg.folds, _unit_seed(cfg.seed, trial))
@@ -316,13 +317,12 @@ def _cv_rows(cfg: ExperimentConfig, ds: Dataset, units: list) -> list[dict]:
         t0 = time.perf_counter()
         hidden, fits = (_select_hidden(cfg, train, _unit_seed(cfg.seed, trial, fold))
                         if cfg.grid else (cfg.layers, 0))
-        rows.append(row := {"trial": trial, "fold": fold, "trainer": cfg.trainer,
-                            "hidden": list(hidden), "select_fits": fits,
-                            "select_wall_time": time.perf_counter() - t0})
+        rows.append(row := {"trial": trial, "fold": fold, "hidden": list(hidden),
+                            "select_fits": fits, "select_wall_time": time.perf_counter() - t0})
         spec = _spec(train_s.x, train_s.y, hidden, _unit_seed(cfg.seed, trial, fold, 1))
         key = (train_s.n_samples, hidden)
         queues.setdefault(key, []).append((row, test_s, (train_s.x, train_s.y, spec)))
-        if cfg.trainer == "kar" or len(queues[key]) == _stack_size(spec, key[0]):
+        if len(queues[key]) == _stack_size(spec, key[0]):
             _score(cfg, queues.pop(key))  # its inputs go before more units are read
     for queue in queues.values():
         _score(cfg, queue)
@@ -331,8 +331,8 @@ def _cv_rows(cfg: ExperimentConfig, ds: Dataset, units: list) -> list[dict]:
 
 def _score(cfg: ExperimentConfig, queue: list) -> None:  # fit each (row, test, fit); score
     for (row, test, _), (net, rep) in zip(queue, _fit(cfg, [f for *_, f in queue]), strict=True):
-        row.update(accuracy=1.0 - _test_error(net, test), train_sse=rep.train_sse,
-                   train_wall_time=rep.wall_time)
+        row.update(trainer=rep.trainer, accuracy=1.0 - _test_error(net, test),
+                   train_sse=rep.train_sse, train_wall_time=rep.wall_time)
 
 
 def _usable_cpus() -> int:
@@ -396,10 +396,8 @@ def run_cv(cfg: ExperimentConfig) -> dict:
     ds = load_dataset(cfg)
     if ds.class_count < 2:
         raise ConfigError("cross-validation needs at least two classes")
-    if cfg.grid and cfg.pattern == "fixed":
-        raise ConfigError("cv --grid needs --pattern exp2, exp3 or exp4 to size its nets")
-    if cfg.pattern != "fixed" and not cfg.grid:
-        raise ConfigError(f"cv --pattern {cfg.pattern} needs a sweep --grid")
+    if bool(cfg.grid) != (cfg.pattern != "fixed"):
+        raise ConfigError("cv --grid needs --pattern exp2, exp3 or exp4, and a pattern needs a grid")
     if bool(cfg.grid) == bool(cfg.layers):
         raise ConfigError("cv needs --layers or a sweep --grid, not both")
     if cfg.folds > ds.n_samples:

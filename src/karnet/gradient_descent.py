@@ -155,11 +155,10 @@ def train_gd_stack(
         for w, g in zip(ws, grads):
             w -= np.multiply(learning_rate, g, out=g)
     _fill(ws, bufs)  # the output layer's inputs, which each report scores
-    nets = [Network(spec=spec, weights=[w[i] for w in ws]) for i, spec in enumerate(specs)]
+    # copies: under some BLAS kernels, a view's offset into the stack moves its norm's rounding
+    nets = [Network(spec=spec, weights=[w[i].copy() for w in ws]) for i, spec in enumerate(specs)]
     reps = [_finish_report(net, bufs[-1][0][i], apply_sigmoid(ym[i]), ym[i], t0, trainer="gd",
-                           iterations=max_iters,
-                           init_style="uniform(-1,1)*0.5/sqrt(fan_in), centred bias")
-            for i, net in enumerate(nets)]
+                           iterations=max_iters) for i, net in enumerate(nets)]
     share = (time.perf_counter() - t0) / len(reps)
     for rep in reps:
         rep.wall_time = share

@@ -9,8 +9,9 @@ handles rank deficiency.  ``lstsq`` picks its route from the shapes: when B
 has fewer columns than ``min(A.shape)``, LAPACK gelsd applies the
 factorisation to B and never forms U, V or the pseudoinverse; otherwise,
 and for a cutoff gelsd cannot express, the Moore-Penrose pseudoinverse
-``pinv(A)`` is formed and multiplied by B.  Both routes drop the same
-singular values.
+``pinv(A)`` is formed and multiplied by B.  Both routes apply the same
+cutoff to their own singular values: one within rounding of the cutoff can
+be kept by one route and dropped by the other.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ and targets Y:
   peel values are computed once and reused.
 
 Training therefore performs exactly n data-side least-squares solves plus,
-for n >= 2, one peeling chain, which the report records.  A one-layer net
+for n >= 2, one peeling chain; a report's spec gives n.  A one-layer net
 is the case with no random layer to peel.
 
 A separate representation-mode trainer keeps the hidden layers random and
@@ -58,13 +58,9 @@ class TrainReport:
     train_sse_transformed: float
     train_error_rate: float
     wall_time: float
-    seed: int
     spec: dict
     weight_norms: list[float] = field(default_factory=list)
-    solve_count: int = 0
-    peel_chains: int = 0
     iterations: int | None = None
-    init_style: str = "n/a"
 
     def __post_init__(self):
         values = [self.train_sse, self.train_sse_transformed, *self.weight_norms]
@@ -132,7 +128,7 @@ def _finish_report(
     residual of its linear system against the transformed ``target``, then
     the output through ``activate``, bit for bit as ``forward`` computes it.
     A value overflowed weights make non-finite is refused there or by
-    ``TrainReport``, unwarned.  ``fields`` name the trainer and its counts."""
+    ``TrainReport``, unwarned.  ``fields`` name the trainer and gd's iterations."""
     with np.errstate(over="ignore", invalid="ignore"):
         z = a @ net.weights[-1]
         r = z - target
@@ -142,7 +138,6 @@ def _finish_report(
             train_sse_transformed=float(np.sum(r * r)),
             train_error_rate=error_rate(g, y),
             wall_time=time.perf_counter() - t0,
-            seed=net.spec.seed,
             spec=net.spec.to_dict(),
             weight_norms=[float(np.linalg.norm(w)) for w in net.weights],
             **fields,
@@ -194,10 +189,7 @@ def train_n_layer(
         )
 
     net = Network(spec=spec, weights=list(weights))
-    return net, _finish_report(
-        net, a, peeled[n], ym, t0, trainer="kar", solve_count=n, peel_chains=int(n > 1),
-        init_style="orthonormal node block, uniform(0,1) bias" if n > 1 else "n/a",
-    )
+    return net, _finish_report(net, a, peeled[n], ym, t0, trainer="kar")
 
 
 def _convex_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -271,7 +263,4 @@ def train_random_hidden(
     weights.append(w_out)
 
     net = Network(spec=spec, weights=weights)
-    return net, _finish_report(
-        net, a, target, ym, t0, trainer="kar-representation", solve_count=1,
-        peel_chains=0, init_style="convex-combination",
-    )
+    return net, _finish_report(net, a, target, ym, t0, trainer="kar-representation")

@@ -135,7 +135,8 @@ class TestConfigFile:
         assert rep["trials"] == 1  # flag beat the config file
         assert rep["seed"] == 3    # config value survived
 
-    # (config key, value, another value, flag arguments giving the first value)
+    # (config key, value, another value, flag arguments giving the first value);
+    # a gd option's flag comes after --trainer gd, since kar refuses it
     OPTIONS = [
         ("data", "xor", "iris", ["--data", "xor"]),
         ("label-col", "2", "5", ["--label-col", "2"]),
@@ -150,9 +151,9 @@ class TestConfigFile:
         ("out", "somewhere", "elsewhere", ["--out", "somewhere"]),
         ("scale-eps", "0.05", "0.02", ["--scale-eps", "0.05"]),
         ("rcond", "1e-08", "1e-06", ["--rcond", "1e-08"]),
-        ("learning-rate", "0.5", "0.1", ["--learning-rate", "0.5"]),
-        ("max-iters", "7", "9", ["--max-iters", "7"]),
-        ("gradient-clip", "1.5", "2.5", ["--gradient-clip", "1.5"]),
+        ("learning-rate", "0.5", "0.1", ["--trainer", "gd", "--learning-rate", "0.5"]),
+        ("max-iters", "7", "9", ["--trainer", "gd", "--max-iters", "7"]),
+        ("gradient-clip", "1.5", "2.5", ["--trainer", "gd", "--gradient-clip", "1.5"]),
     ]
 
     @staticmethod
@@ -168,7 +169,7 @@ class TestConfigFile:
     def test_config_key_and_flag_agree(self, tmp_path, key, value, other, flags):
         from karnet import ExperimentConfig
 
-        from_file = self._config(tmp_path, [f"{key} = {value}"], [])
+        from_file = self._config(tmp_path, [f"{key} = {value}"], flags[:-2])  # --trainer gd
         from_flag = self._config(tmp_path, [], flags)
         assert from_file == from_flag
         assert from_flag != ExperimentConfig()
@@ -181,9 +182,10 @@ class TestConfigFile:
 
         default = asdict(ExperimentConfig())
         changed = []
-        for _, _, _, flags in self.OPTIONS:
+        for _, _, _, flags in self.OPTIONS:  # each against the config of its --trainer gd
+            base = asdict(self._config(tmp_path, [], flags[:-2]))
             cfg = asdict(self._config(tmp_path, [], flags))
-            changed += [name for name in default if cfg[name] != default[name]]
+            changed += [name for name in default if cfg[name] != base[name]]
         assert sorted(changed) == sorted(default)
 
     def test_unknown_config_key(self, tmp_path):
@@ -242,6 +244,7 @@ class TestCommandOptions:
             assert cfg != ExperimentConfig()
             return
         out = tmp_path / "o"
+        flags = flags[-2:]  # without the --trainer gd of a gd option: such commands read neither
         if key == "out":
             flags = ["--out", str(out)]
         elif "out" in _READS[command]:
@@ -251,6 +254,32 @@ class TestCommandOptions:
         assert exc.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["train", "--layers", "5", "--trainer", "gd", "--rcond", "0.5"],
+         "--trainer gd does not read --rcond"),
+        (["cv", "--layers", "5", "--learning-rate", "7", "--gradient-clip", "3", "--trials", "1",
+          "--folds", "3"], "--trainer kar does not read --learning-rate --gradient-clip"),
+        (["train", "--layers", "5", "--trainer", "kar", "--max-iters", "9"],
+         "--trainer kar does not read --max-iters"),
+    ], ids=["train-gd-rcond", "cv-kar-rate-clip", "train-kar-max-iters"])
+    def test_flag_the_trainer_does_not_read_is_refused(self, tmp_path, capsys, argv, error):
+        """A command takes each trainer's flags, but only beside that trainer:
+        another exits 2 with one error line before an output directory is made."""
+        out = tmp_path / "o"
+        assert main([*argv, "--data", "iris", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert not out.exists()
+
+    def test_config_file_sets_options_its_trainer_does_not_read(self, tmp_path):
+        """One config file serves train and eval, so its keys are not refused."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("learning-rate = 7\nmax-iters = 9\ngradient-clip = 3\n")
+        assert run_cli("train", "--config", str(cfgfile), "--data", "iris", "--layers", "5",
+                       "--out", str(tmp_path / "kar")) == EXIT_OK
+        cfgfile.write_text("rcond = 0.5\n")
+        assert run_cli("train", "--config", str(cfgfile), "--data", "iris", "--layers", "5",
+                       "--trainer", "gd", "--max-iters", "5", "--out", str(tmp_path / "gd")) == EXIT_OK
 
     @pytest.mark.parametrize("argv", [
         ["xor-demo", "--trainer", "gd"],
@@ -487,15 +516,18 @@ class TestFailureContract:
         assert code == EXIT_CONFIG
         assert "Traceback" not in err and blocked in err
 
-    def test_gd_report_names_signed_centred_init(self, tmp_path):
+    def test_gd_report_records_its_steps_and_spec(self, tmp_path):
+        """A train report holds what its trainer and spec do not already say:
+        gd's step count, and no restated seed or solve count."""
         code, err = run_cli_process(
             "train", "--data", "iris", "--layers", "3", "--trainer", "gd",
-            "--max-iters", "5", "--out", str(tmp_path),
+            "--max-iters", "5", "--seed", "4", "--out", str(tmp_path),
         )
         assert code == EXIT_OK
         assert "Traceback" not in err
-        rep = json.loads((tmp_path / "report.json").read_text())
-        assert rep["train_report"]["init_style"].startswith("uniform(-1,1)")
+        rep = json.loads((tmp_path / "report.json").read_text())["train_report"]
+        assert (rep["trainer"], rep["iterations"], rep["spec"]["seed"]) == ("gd", 5, 4)
+        assert not {"seed", "solve_count", "peel_chains", "init_style"} & set(rep)
 
     def test_eval_matches_classes_by_name(self, tmp_path):
         """Reversing the test rows reverses the order in which classes

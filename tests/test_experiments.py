@@ -182,6 +182,24 @@ class TestRunCv:
             run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path), layers=(2.9,),
                                     trials=1, folds=2))
 
+    @pytest.mark.parametrize("grid", [(2.9,), (True,), (3, "5")])
+    def test_non_integer_grid_value_is_config_error(self, grid):
+        """As with a layer size: 2.9 is not run as 2, nor True as 1."""
+        with pytest.raises(ConfigError, match="grid values must be integers >= 1"):
+            ExperimentConfig(grid=grid, pattern="exp2")
+
+    def test_numpy_grid_values_run_and_report_as_json_ints(self, tmp_path):
+        grid = tuple(np.arange(2, 4))
+        cfg = ExperimentConfig(dataset="iris", grid=grid, pattern="exp2", trials=1, folds=3,
+                               out=str(tmp_path / "cv"))
+        assert cfg.grid == (2, 3) and {type(h) for h in cfg.grid} == {int}
+        run_cv(cfg)
+        rows = json.loads((tmp_path / "cv" / "report.json").read_text())["rows"]
+        assert {h for row in rows for h in row["hidden"]} <= {2, 3}
+        sweep = run_iris_sweep(ExperimentConfig(grid=grid, trials=1, out=str(tmp_path / "sweep")))
+        assert json.loads((tmp_path / "sweep" / "report.json").read_text())["grid"] == [2, 3]
+        assert sorted(sweep["per_h"]) == ["2", "3"]
+
     def test_descent_options_are_checked_for_the_analytic_trainer_too(self):
         with pytest.raises(ConfigError, match=r"^learning_rate must be finite and >= 0, got -1.0$"):
             ExperimentConfig(trainer="kar", learning_rate=-1.0)
@@ -533,6 +551,24 @@ class TestCvPool:
 class TestCvStacks:
     """cv descends gd final fits of one (training rows, hidden) shape in
     stacks; its report is the one a fit at a time gives, wall times aside."""
+
+    def test_kar_fits_queue_as_gd_fits_do(self, tmp_path, monkeypatch):
+        """``_fit`` alone picks the trainer: kar final fits wait in the same
+        queues, and each times itself, so the report is unchanged."""
+        batches, fit = [], experiments._fit
+        monkeypatch.setattr(experiments, "_fit",
+                            lambda cfg, fits: batches.append(len(fits)) or fit(cfg, fits))
+        cfg = dict(dataset="iris", layers=(5,), trials=2, folds=5, seed=4)
+        bound = gradient_descent.STACK_BYTES
+        monkeypatch.setattr(gradient_descent, "STACK_BYTES", 1)
+        force_inline(monkeypatch)
+        run_cv(ExperimentConfig(out=str(tmp_path / "alone"), **cfg))
+        assert batches == [1] * 10
+        monkeypatch.setattr(gradient_descent, "STACK_BYTES", bound)
+        batches.clear()
+        run_cv(ExperimentConfig(out=str(tmp_path / "queued"), **cfg))
+        assert sum(batches) == 10 and max(batches) > 1
+        assert _cv_blob(tmp_path / "queued") == _cv_blob(tmp_path / "alone")
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
     @pytest.mark.parametrize("folds", [10, 7])

@@ -223,10 +223,7 @@ class TestBufferedDescent:
         for w, w_want in zip(net.weights, want.weights, strict=True):
             assert np.array_equal(w, w_want)
         a = last_input(want, x)
-        rep_want = _finish_report(
-            want, a, apply_sigmoid(y), y, 0.0,
-            trainer="gd", iterations=40, init_style=rep.init_style,
-        )
+        rep_want = _finish_report(want, a, apply_sigmoid(y), y, 0.0, trainer="gd", iterations=40)
         got, expected = dataclasses.asdict(rep), dataclasses.asdict(rep_want)
         del got["wall_time"], expected["wall_time"]
         assert got == expected
