@@ -1,11 +1,11 @@
 """Trading network depth for hidden-layer width.
 
 The two-layer exact-fit threshold on the 90-sample iris split sits at
-hidden size 90 (see demo 03).  Stacking more random hidden layers moves
-it: a five-layer network with four random hidden layers reaches an exact
-fit at column size 89, because the solved output layer's bias row now
-contributes the missing degree of freedom.  Width is not the only way to
-buy representation capacity.
+hidden size 90 (see `karnet iris-sweep`).  Stacking more random hidden
+layers moves it: a five-layer network with four random hidden layers
+reaches an exact fit at column size 89, because the solved output layer's
+bias row now contributes the missing degree of freedom.  Width is not the
+only way to buy representation capacity.
 
 Run:  python demos/04_depth_for_width.py
 """

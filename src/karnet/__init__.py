@@ -19,7 +19,6 @@ for _var in () if "numpy" in sys.modules else BLAS_THREAD_VARS:  # numpy reads t
 from .activations import ACTIVATION, CLAMP_EPS, apply_logit, apply_sigmoid
 from .data import (
     Dataset,
-    FoldPlan,
     apply_scaling,
     encode_one_vs_all,
     load_csv,
@@ -51,7 +50,6 @@ __all__ = [
     "apply_logit",
     "apply_sigmoid",
     "Dataset",
-    "FoldPlan",
     "apply_scaling",
     "encode_one_vs_all",
     "load_csv",

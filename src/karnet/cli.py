@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, KarnetError
+from .errors import ConfigError, DataError, DimensionError, KarnetError, NumericalError
 from .experiments import (
     PAPER_GRID,
     ExperimentConfig,
@@ -165,7 +165,7 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gradient_check(cfg: ExperimentConfig) -> int:
+def _cmd_gradient_check(cfg: ExperimentConfig) -> None:  # prints a line, then may raise
     from .gradient_descent import check_gradient, initial_network
     from .network import NetworkSpec
 
@@ -177,10 +177,10 @@ def _cmd_gradient_check(cfg: ExperimentConfig) -> int:
     check = check_gradient(net, x, y)
     print(json.dumps({**check._asdict(), "tolerance": 1e-4}))
     if check.nonzero == 0:
-        print("error: every backprop entry is zero, so the check compared nothing",
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK if check.max_relative_error <= 1e-4 else EXIT_NUMERIC
+        raise NumericalError("every backprop entry is zero, so the check compared nothing")
+    if check.max_relative_error > 1e-4:
+        raise NumericalError(f"max relative error {check.max_relative_error:.3g} is above 1e-4"
+                             " (the 1e-5 step's truncation error can cause this)")
 
 
 def main(argv=None) -> int:
@@ -202,16 +202,11 @@ def main(argv=None) -> int:
     except OSError as exc:  # reads raise DataError; this is an output that cannot be written
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if isinstance(result, int):  # gradient-check printed its own line and chose its exit code
-        return result
-    print(json.dumps({"command": args.command, "out": cfg.out,
-                      "summary": _summarize(result)}))
+    if result is not None:  # gradient-check printed its own line
+        keep = ("command", "aggregate", "surface_rows", "sse", "accuracy", "error_rate")
+        print(json.dumps({"command": args.command, "out": cfg.out,
+                          "summary": {k: result[k] for k in keep if k in result}}))
     return EXIT_OK
-
-
-def _summarize(report: dict) -> dict:
-    keep = ("command", "aggregate", "surface_rows", "sse", "accuracy", "error_rate")
-    return {k: report[k] for k in keep if k in report}
 
 
 if __name__ == "__main__":

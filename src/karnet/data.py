@@ -19,11 +19,10 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DimensionError, check_scale_eps
 
 __all__ = [
     "Dataset",
-    "FoldPlan",
     "load_csv",
     "scale_minmax",
     "apply_scaling",
@@ -75,19 +74,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    """Fold index per sample for k-fold splitting."""
-
-    assignments: np.ndarray
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments != fold)
 
 
 def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
@@ -210,34 +196,30 @@ def _parse_cells(text: str, path, label_column: int, has_header: bool):
     return x, names
 
 
-def _fit_scaling(x: np.ndarray) -> list[tuple[float, float]]:
-    return [(float(c.min()), float(c.max())) for c in x.T]
-
-
-def _apply(x: np.ndarray, scaling, epsilon: float) -> np.ndarray:
-    out = np.empty_like(x)
-    for j, (lo, hi) in enumerate(scaling):
-        if hi / 2 > lo / 2:  # halves: a span past the largest double cannot overflow
-            out[:, j] = epsilon + (x[:, j] / 2 - lo / 2) / (hi / 2 - lo / 2) * (1.0 - 2.0 * epsilon)
-        else:
-            out[:, j] = 0.5  # constant column
-    return np.clip(out, epsilon, 1.0 - epsilon)
-
-
 def scale_minmax(ds: Dataset, epsilon: float) -> Dataset:
     """Affinely map each feature from its own (min, max) onto [eps, 1-eps].
 
     Constant columns map to 0.5.  The fitted statistics are stored on the
     returned dataset for reuse on held-out folds.
     """
-    return apply_scaling(ds, _fit_scaling(ds.x), epsilon)
+    return apply_scaling(ds, [(float(c.min()), float(c.max())) for c in ds.x.T], epsilon)
 
 
 def apply_scaling(ds: Dataset, scaling, epsilon: float) -> Dataset:
-    """Rescale with previously fitted statistics; out-of-range values clamp."""
-    if not 0.0 < epsilon < 0.5:
-        raise ConfigError(f"scaling epsilon must be in (0, 0.5), got {epsilon}")
-    return replace(ds, x=_apply(ds.x, list(scaling), epsilon), scaling=list(scaling))
+    """Rescale by one fitted (min, max) per feature, each finite; out-of-range values clamp."""
+    check_scale_eps(epsilon)
+    scaling = list(scaling)
+    if len(scaling) != ds.n_features:
+        raise DimensionError(f"scaling has {len(scaling)} entries for {ds.n_features} features")
+    if not np.all(np.isfinite(scaling)):
+        raise DataError(f"scaling holds a non-finite bound: {scaling}")
+    x = np.empty_like(ds.x)
+    for j, (lo, hi) in enumerate(scaling):
+        if hi / 2 > lo / 2:  # halves: a span past the largest double cannot overflow
+            x[:, j] = epsilon + (ds.x[:, j] / 2 - lo / 2) / (hi / 2 - lo / 2) * (1.0 - 2.0 * epsilon)
+        else:
+            x[:, j] = 0.5  # constant column
+    return replace(ds, x=np.clip(x, epsilon, 1.0 - epsilon), scaling=scaling)
 
 
 def encode_one_vs_all(labels, q: int) -> np.ndarray:
@@ -251,8 +233,8 @@ def encode_one_vs_all(labels, q: int) -> np.ndarray:
     return out
 
 
-def stratified_folds(labels, k: int, seed: int) -> FoldPlan:
-    """Per-class round-robin fold assignment after a seeded shuffle.
+def stratified_folds(labels, k: int, seed: int) -> np.ndarray:
+    """Each sample's fold (1-D intp): per-class round-robin after a seeded shuffle.
 
     Classes start their round-robin where the previous class left off, so
     fold sizes also balance across classes.  Per-fold class counts differ
@@ -273,7 +255,7 @@ def stratified_folds(labels, k: int, seed: int) -> FoldPlan:
         for i, sample in enumerate(idx):
             assignments[sample] = (offset + i) % k
         offset = (offset + len(idx)) % k
-    return FoldPlan(assignments)
+    return assignments
 
 
 def make_xor(perturbed: bool = True) -> Dataset:

@@ -57,3 +57,9 @@ def check_seed(seed: int) -> None:
     """Raise ConfigError unless ``seed`` is in [0, 2**64), as numpy and a weights file need."""
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def check_scale_eps(epsilon: float) -> None:
+    """Raise ConfigError unless the scaling margin ``epsilon`` is in (0, 0.5)."""
+    if not 0.0 < epsilon < 0.5:
+        raise ConfigError(f"scaling epsilon must be in (0, 0.5), got {epsilon}")

@@ -33,9 +33,9 @@ from .data import (
     split_rows,
     stratified_folds,
 )
-from .errors import ConfigError, DataError, NumericalError, check_finite, check_seed
+from .errors import ConfigError, DataError, NumericalError, check_finite, check_scale_eps, check_seed
 from .gradient_descent import _stack_size, check_options, train_gd_stack
-from .network import Network, NetworkSpec, forward
+from .network import Network, NetworkSpec, check_integers, forward
 from .training import error_rate, train_n_layer, train_random_hidden
 
 __all__ = [
@@ -84,9 +84,9 @@ class ExperimentConfig:
         check_seed(self.seed)
         if max(self.trials, self.folds, self.max_iters) >= 2**64:
             raise ConfigError("trials, folds and max_iters must be below 2**64")
-        if any(type(h) is bool or not isinstance(h, int | np.integer) or h < 1 for h in self.grid):
-            raise ConfigError(f"grid values must be integers >= 1, got {self.grid}")
-        object.__setattr__(self, "grid", tuple(map(int, self.grid)))  # numpy's as Python ints
+        object.__setattr__(self, "grid", check_integers("grid values", self.grid, 1))
+        object.__setattr__(self, "layers", check_integers("layer sizes", self.layers, 1))
+        check_scale_eps(self.scale_eps)
         check_options(self.learning_rate, self.max_iters, self.gradient_clip)
         check_finite("rcond", self.rcond, positive=False)
 
@@ -117,13 +117,6 @@ def _fit(cfg: ExperimentConfig, fits: list) -> list:
         return train_gd_stack(*zip(*fits), learning_rate=cfg.learning_rate,
                               max_iters=cfg.max_iters, gradient_clip=cfg.gradient_clip)
     return [train_n_layer(x, y, spec, rcond=cfg.rcond) for x, y, spec in fits]
-
-
-def _train_once(
-    cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray, hidden: tuple[int, ...], seed: int
-):
-    """Fit one net: ``_fit`` on one fit."""
-    return _fit(cfg, [(x, y, _spec(x, y, hidden, seed))])[0]
 
 
 def _scaled(train: Dataset, test: Dataset, eps: float) -> tuple[Dataset, Dataset]:
@@ -277,8 +270,8 @@ def _select_hidden(
     inner_k = min(cfg.folds, train.n_samples)
     plan = stratified_folds(train.labels, inner_k, trial_seed)
     scaled = [  # each inner fold's scaled (train, validation) pair, made once
-        _scaled(split_rows(train, plan.train_indices(fold)),
-                split_rows(train, plan.test_indices(fold)), cfg.scale_eps)
+        _scaled(split_rows(train, np.flatnonzero(plan != fold)),
+                split_rows(train, np.flatnonzero(plan == fold)), cfg.scale_eps)
         for fold in range(inner_k)
     ]
     best_h, best_acc, fits = None, -1.0, 0
@@ -287,8 +280,8 @@ def _select_hidden(
         accs = {}
         for fold in sorted(range(inner_k), key=lambda f: (fold_sums[f], f)):
             tr_s, va_s = scaled[fold]
-            seed = _unit_seed(trial_seed, h, fold)
-            net, _ = _train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(h), seed)
+            spec = _spec(tr_s.x, tr_s.y, cfg.hidden_for(h), _unit_seed(trial_seed, h, fold))
+            net, _ = _fit(cfg, [(tr_s.x, tr_s.y, spec)])[0]
             fits += 1
             accs[fold] = 1.0 - _test_error(net, va_s)
             left = inner_k - len(accs)
@@ -312,8 +305,8 @@ def _cv_rows(cfg: ExperimentConfig, ds: Dataset, units: list) -> list[dict]:
     rows, queues = [], {}
     for trial, fold in units:
         plan = stratified_folds(ds.labels, cfg.folds, _unit_seed(cfg.seed, trial))
-        train = split_rows(ds, plan.train_indices(fold))
-        train_s, test_s = _scaled(train, split_rows(ds, plan.test_indices(fold)), cfg.scale_eps)
+        train = split_rows(ds, np.flatnonzero(plan != fold))
+        train_s, test_s = _scaled(train, split_rows(ds, np.flatnonzero(plan == fold)), cfg.scale_eps)
         t0 = time.perf_counter()
         hidden, fits = (_select_hidden(cfg, train, _unit_seed(cfg.seed, trial, fold))
                         if cfg.grid else (cfg.layers, 0))
@@ -440,7 +433,7 @@ def run_train(cfg: ExperimentConfig) -> dict:
     ds = load_dataset(cfg)
     outdir = _output_dir(cfg)
     scaled = scale_minmax(ds, cfg.scale_eps)
-    net, rep = _train_once(cfg, scaled.x, scaled.y, cfg.layers, cfg.seed)
+    net, rep = _fit(cfg, [(scaled.x, scaled.y, _spec(scaled.x, scaled.y, cfg.layers, cfg.seed))])[0]
     from .network import save_network
 
     save_network(net, outdir / "weights.json")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, RankDeficiencyError, check_finite
+from .errors import DimensionError, NumericalError, check_finite
 
 __all__ = ["LstsqResult", "PinvResult", "as_matrix", "lstsq", "pinv"]
 
@@ -81,10 +81,9 @@ def pinv(a, rcond: float | None = None) -> PinvResult:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge for shape {m.shape}") from exc
-    sigma_max = s[0] if s.size else 0.0
     if rcond is None:
         rcond = max(m.shape) * np.finfo(np.float64).eps
-    tol = rcond * sigma_max
+    tol = rcond * s[0]
     kept = s > tol
     rank = int(np.count_nonzero(kept))
     inv_s = np.zeros_like(s)
@@ -128,11 +127,3 @@ def lstsq(a, b, rcond: float | None = None) -> LstsqResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge for shape {am.shape}") from exc
     return LstsqResult(theta=theta, rank=int(rank))
-
-
-def require_rank(result, what: str):
-    """Raise if a ``PinvResult`` or ``LstsqResult`` found no usable singular
-    values; otherwise return it."""
-    if result.rank == 0:
-        raise RankDeficiencyError(f"{what} is numerically rank-deficient (rank 0)")
-    return result

@@ -15,7 +15,7 @@ domain is the data pipeline's job.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+def check_integers(name: str, values, low: int) -> tuple[int, ...]:
+    """``values`` as Python ints; ConfigError unless each is an integer >= ``low`` (no bool)."""
+    if any(type(v) is bool or not isinstance(v, int | np.integer) or v < low for v in values):
+        raise ConfigError(f"{name} must be integers >= {low}, got {values}")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture description: layer sizes >= 1 and an init seed in
@@ -47,14 +54,12 @@ class NetworkSpec:
 
     def __post_init__(self):
         sizes = (self.input_dim, *self.hidden, self.output_dim)
-        if any(type(v) is bool or not isinstance(v, int | np.integer) for v in (*sizes, self.seed)):
-            raise ConfigError(f"layer sizes and seed must be integers, got {sizes} and {self.seed!r}")
-        for name in ("input_dim", "output_dim", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if any(s < 1 for s in sizes):
-            raise ConfigError(f"all layer sizes must be >= 1, got {sizes}")
+        check_integers("layer sizes and seed", (*sizes, self.seed), 0)
+        d, *hidden, q = check_integers("layer sizes", sizes, 1)
         check_seed(self.seed)
+        for name, value in zip(("input_dim", "hidden", "output_dim", "seed"),
+                               (d, tuple(hidden), q, int(self.seed))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_layers(self) -> int:
@@ -91,7 +96,7 @@ class Network:
     """A materialized network: spec plus one weight matrix per layer."""
 
     spec: NetworkSpec
-    weights: list = field(default_factory=list)
+    weights: list
 
     def __post_init__(self):
         expected = self.spec.weight_shapes

@@ -32,13 +32,13 @@ to the number of samples a network can fit exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .activations import apply_sigmoid
-from .errors import ConfigError, DimensionError, NumericalError
-from .linalg import as_matrix, lstsq, require_rank
+from .errors import ConfigError, DimensionError, NumericalError, RankDeficiencyError
+from .linalg import as_matrix, lstsq
 from .network import Network, NetworkSpec, activate, add_bias_column
 
 __all__ = [
@@ -59,7 +59,7 @@ class TrainReport:
     train_error_rate: float
     wall_time: float
     spec: dict
-    weight_norms: list[float] = field(default_factory=list)
+    weight_norms: list[float]
     iterations: int | None = None
 
     def __post_init__(self):
@@ -118,7 +118,10 @@ def _orthonormal_layer(rng: np.random.Generator, shape: tuple[int, int]) -> np.n
 
 
 def _solve(a: np.ndarray, b: np.ndarray, rcond, what: str) -> np.ndarray:
-    return require_rank(lstsq(a, b, rcond=rcond), what).theta
+    result = lstsq(a, b, rcond=rcond)
+    if result.rank == 0:
+        raise RankDeficiencyError(f"{what} is numerically rank-deficient (rank 0)")
+    return result.theta
 
 
 def _finish_report(

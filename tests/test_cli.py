@@ -121,6 +121,16 @@ class TestSubcommands:
         assert json.loads(captured.out.strip())["nonzero"] == 0
         assert "compared nothing" in captured.err
 
+    def test_gradient_check_above_tolerance_prints_one_error_line(self, capsys):
+        """This net's finite differences truncate to 1.24e-4 at the 1e-5 step:
+        the JSON line, then exit 4 with one ``error:`` line."""
+        assert run_cli("gradient-check", "--layers", "1", "--seed", "25") == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip())["max_relative_error"] > 1e-4
+        assert captured.err.splitlines() == [
+            "error: max relative error 0.000124 is above 1e-4"
+            " (the 1e-5 step's truncation error can cause this)"]
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
@@ -738,6 +748,28 @@ class TestFailureContract:
         code = run_cli("train", "--data", str(data), "--layers", "3", "--out", str(tmp_path))
         assert code == EXIT_DATA
         assert "no feature column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["train", "--layers", "0"], id="train-layers-0"),
+        pytest.param(["cv", "--layers", "3,0", "--trials", "1", "--folds", "3"], id="cv-layers-0"),
+        pytest.param(["train", "--layers", "3", "--scale-eps", "0.7"], id="train-scale-eps"),
+        pytest.param(["cv", "--layers", "3", "--trials", "1", "--folds", "3", "--scale-eps", "nan"],
+                     id="cv-scale-eps"),
+        pytest.param(["eval", "--weights", "weights.json", "--scale-eps", "0"], id="eval-scale-eps"),
+    ])
+    def test_bad_layer_size_or_scale_eps_is_refused_before_out_is_made(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        from karnet.gradient_descent import initial_network
+        from karnet.network import NetworkSpec, save_network
+
+        monkeypatch.chdir(tmp_path)  # eval's weights, with no train report beside them
+        save_network(initial_network(NetworkSpec(4, (3,), 3)), tmp_path / "weights.json")
+        assert run_cli(*argv, "--data", "iris", "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert "layer sizes must be integers >= 1" in errors[0] or "scaling epsilon" in errors[0]
 
     @pytest.mark.parametrize("command, flags", [
         pytest.param("cv", ["--data", "xor", "--folds", "2"], id="cv"),

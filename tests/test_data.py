@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from karnet import (
     ConfigError,
     DataError,
+    DimensionError,
     apply_scaling,
     encode_one_vs_all,
     load_csv,
@@ -252,6 +253,18 @@ class TestScaling:
         with pytest.raises(ConfigError):
             scale_minmax(ds, 0.7)
 
+    @pytest.mark.parametrize("scaling, error", [
+        pytest.param([(0.0, 10.0)] * 2, DimensionError, id="2-of-4"),
+        pytest.param([(0.0, 10.0)] * 6, DimensionError, id="6-of-4"),
+        pytest.param([(-np.inf, np.inf)] * 4, DataError, id="infinite"),
+        pytest.param([(0.0, 10.0)] * 3 + [(0.0, np.nan)], DataError, id="nan"),
+    ])
+    def test_scaling_needs_one_finite_pair_per_feature(self, scaling, error):
+        """Iris has 4 features: another count is not filled from empty
+        memory or an index error, and a non-finite bound is not scaled to NaN."""
+        with pytest.raises(error):
+            apply_scaling(load_iris(), scaling, 0.01)
+
 
 # feature matrices up to 12 x 4 of finite values whose column ranges stay finite
 _FEATURES = st.tuples(st.integers(1, 12), st.integers(1, 4)).flatmap(
@@ -303,7 +316,7 @@ class TestStratifiedFolds:
         labels = np.repeat([0, 1, 2], 50)
         plan = stratified_folds(labels, 10, seed=0)
         for fold in range(10):
-            idx = plan.test_indices(fold)
+            idx = np.flatnonzero(plan == fold)
             assert len(idx) == 15
             counts = np.bincount(labels[idx], minlength=3)
             np.testing.assert_array_equal(counts, [5, 5, 5])
@@ -312,17 +325,18 @@ class TestStratifiedFolds:
         labels = np.repeat([0, 1], 17)
         a = stratified_folds(labels, 5, seed=3)
         b = stratified_folds(labels, 5, seed=3)
-        np.testing.assert_array_equal(a.assignments, b.assignments)
+        assert a.dtype == np.intp and a.shape == labels.shape  # each sample's fold
+        np.testing.assert_array_equal(a, b)
 
     def test_two_classes_of_three_staggered(self):
         """Classes sized {3,3} at k=2 give folds sized {3,3} with per-class
         counts {2,1} and {1,2}: enumerated from the staggered round-robin."""
         labels = np.array([0, 0, 0, 1, 1, 1])
         plan = stratified_folds(labels, 2, seed=0)
-        sizes = np.bincount(plan.assignments, minlength=2)
+        sizes = np.bincount(plan, minlength=2)
         np.testing.assert_array_equal(sizes, [3, 3])
-        c0 = np.bincount(plan.assignments[labels == 0], minlength=2)
-        c1 = np.bincount(plan.assignments[labels == 1], minlength=2)
+        c0 = np.bincount(plan[labels == 0], minlength=2)
+        c1 = np.bincount(plan[labels == 1], minlength=2)
         assert sorted(c0) == [1, 2] and sorted(c1) == [1, 2]
         assert c0[0] != c1[0]
 
@@ -330,7 +344,7 @@ class TestStratifiedFolds:
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 4, size=57)
         plan = stratified_folds(labels, 7, seed=9)
-        seen = np.concatenate([plan.test_indices(f) for f in range(7)])
+        seen = np.concatenate([np.flatnonzero(plan == f) for f in range(7)])
         np.testing.assert_array_equal(np.sort(seen), np.arange(57))
 
     def test_per_class_counts_within_one(self):
@@ -339,7 +353,7 @@ class TestStratifiedFolds:
         k = 5
         plan = stratified_folds(labels, k, seed=1)
         for cls in range(3):
-            counts = np.bincount(plan.assignments[labels == cls], minlength=k)
+            counts = np.bincount(plan[labels == cls], minlength=k)
             assert counts.max() - counts.min() <= 1
 
     def test_k_exceeding_samples(self):

@@ -178,7 +178,7 @@ class TestRunCv:
 
     def test_non_integer_layer_size_is_config_error(self, tmp_path):
         """A width of 2.9 is refused, not trained as 2 and reported as 2.9."""
-        with pytest.raises(ConfigError, match="layer sizes and seed must be integers"):
+        with pytest.raises(ConfigError, match="layer sizes must be integers >= 1"):
             run_cv(ExperimentConfig(dataset="iris", out=str(tmp_path), layers=(2.9,),
                                     trials=1, folds=2))
 
@@ -260,11 +260,12 @@ def _exhaustive_selection(cfg, train, trial_seed):
     for h in sorted(cfg.grid):
         accs = []
         for fold in range(inner_k):
-            tr_s, va_s = experiments._scaled(split_rows(train, plan.train_indices(fold)),
-                                             split_rows(train, plan.test_indices(fold)),
+            tr_s, va_s = experiments._scaled(split_rows(train, np.flatnonzero(plan != fold)),
+                                             split_rows(train, np.flatnonzero(plan == fold)),
                                              cfg.scale_eps)
             seed = experiments._unit_seed(trial_seed, h, fold)
-            net, _ = experiments._train_once(cfg, tr_s.x, tr_s.y, cfg.hidden_for(h), seed)
+            spec = experiments._spec(tr_s.x, tr_s.y, cfg.hidden_for(h), seed)
+            net, _ = experiments._fit(cfg, [(tr_s.x, tr_s.y, spec)])[0]
             accs.append(1.0 - experiments._test_error(net, va_s))
         mean_acc = float(np.mean(accs))
         if mean_acc > best_acc:
@@ -314,7 +315,7 @@ class TestSelectHidden:
         exhaustive_fits = len(cfg.grid) * cfg.folds * cfg.folds
         assert len(asked) == rep["aggregate"]["select_fits"] + cfg.folds
         for row in rep["rows"]:
-            train = split_rows(ds, plan.train_indices(row["fold"]))
+            train = split_rows(ds, np.flatnonzero(plan != row["fold"]))
             grid_seed = experiments._unit_seed(cfg.seed, 0, row["fold"])
             assert row["hidden"] == list(_exhaustive_selection(cfg, train, grid_seed))
         assert sum(r["select_fits"] for r in rep["rows"]) == rep["aggregate"]["select_fits"]
@@ -343,11 +344,12 @@ class TestSelectHidden:
                    for h in accs for f in range(k)}
         visits = []
 
-        def train_once(cfg, x, y, hidden, seed):
-            visits.append((hidden[0], fold_of[hidden[0], seed]))
-            return visits[-1], None
+        def fit(cfg, fits):
+            [(x, y, spec)] = fits  # selection fits one net at a time
+            visits.append((spec.hidden[0], fold_of[spec.hidden[0], spec.seed]))
+            return [(visits[-1], None)]
 
-        monkeypatch.setattr(experiments, "_train_once", train_once)
+        monkeypatch.setattr(experiments, "_fit", fit)
         monkeypatch.setattr(experiments, "_test_error", lambda net, test: 1.0 - accs[net[0]][net[1]])
         cfg = ExperimentConfig(grid=tuple(accs), pattern="exp2", folds=k)
         hidden, fits = experiments._select_hidden(cfg, load_iris(), trial_seed)
@@ -595,7 +597,7 @@ class TestCvStacks:
         assert _cv_blob(tmp_path / "stacked") == _cv_blob(tmp_path / "alone")
         ds = load_iris()
         plans = [stratified_folds(ds.labels, folds, experiments._unit_seed(4, t)) for t in range(2)]
-        rows = Counter(int(np.count_nonzero(plans[t].assignments != f))  # each unit's training rows
+        rows = Counter(int(np.count_nonzero(plans[t] != f))  # each unit's training rows
                        for t in range(2) for f in range(folds))
         assert len(rows) == (1 if folds == 10 else 2)
         if pooled:

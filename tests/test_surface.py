@@ -1,7 +1,8 @@
 """The package's public surface: exported names resolve, the README's
 library quick start runs as written and its CLI quick start parses, no
-module imports a name it never uses, and no function or class goes
-uncalled."""
+module imports a name it never uses, no function or class goes uncalled,
+and no private helper that only returns an expression has a single
+caller."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -93,26 +95,54 @@ def test_no_unused_imports(name):
     assert _unused_imports(SRC / name) == []
 
 
-def _uncalled_definitions() -> list[str]:
-    """Module-level functions and classes of ``src/karnet/`` that no code
-    there reads (a read inside the definition itself, or a listing in an
-    ``__all__``, does not count) and that ``karnet.__all__`` does not export."""
-    defined, read = [], set()
+def _definitions_and_reads() -> tuple[list, Counter]:
+    """Module-level functions and classes of ``src/karnet/`` as (node,
+    "file:line: name"), and the number of places code there reads each name
+    (a read inside the definition itself, or a listing in an ``__all__``,
+    does not count)."""
+    defined, reads = [], Counter()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for stmt in tree.body:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = stmt.name
-                defined.append((own, f"{path.name}:{stmt.lineno}: {own}"))
+                defined.append((stmt, f"{path.name}:{stmt.lineno}: {own}"))
             for node in ast.walk(stmt):
                 name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                         else node.attr if isinstance(node, ast.Attribute) else None)
                 if name is not None and name != own:
-                    read.add(name)
-    return [where for name, where in defined
-            if name not in read and name not in karnet.__all__]
+                    reads[name] += 1
+    return defined, reads
+
+
+def _uncalled_definitions() -> list[str]:
+    """Module-level functions and classes of ``src/karnet/`` that no code
+    there reads and that ``karnet.__all__`` does not export."""
+    defined, reads = _definitions_and_reads()
+    return [where for stmt, where in defined
+            if stmt.name not in reads and stmt.name not in karnet.__all__]
 
 
 def test_no_uncalled_code():
     assert _uncalled_definitions() == []
+
+
+def _single_use_one_return_helpers() -> list[str]:
+    """Private module-level functions of ``src/karnet/`` whose body, a docstring
+    aside, is one ``return`` and that code there reads at one place only:
+    that place can hold the returned expression itself."""
+    defined, reads = _definitions_and_reads()
+    found = []
+    for stmt, where in defined:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = stmt.body[1:] if ast.get_docstring(stmt) is not None else stmt.body
+        if (stmt.name.startswith("_") and reads[stmt.name] == 1
+                and len(body) == 1 and isinstance(body[0], ast.Return)):
+            found.append(where)
+    return found
+
+
+def test_no_single_use_one_return_helper():
+    assert _single_use_one_return_helpers() == []
