@@ -6,6 +6,7 @@ data/parse problems exit 3, numerical failures exit 4.
 """
 
 import math
+import numbers
 
 
 class KarnetError(Exception):
@@ -54,8 +55,8 @@ def check_finite(name: str, value: float | None, positive: bool) -> None:
 
 
 def check_seed(seed: int) -> None:
-    """Raise ConfigError unless ``seed`` is in [0, 2**64), as numpy and a weights file need."""
-    if not 0 <= seed < 2**64:
+    """Raise ConfigError unless ``seed`` is a number in [0, 2**64), as numpy and a weights file need."""
+    if not (isinstance(seed, numbers.Real) and 0 <= seed < 2**64):
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 

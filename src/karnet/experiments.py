@@ -79,12 +79,18 @@ class ExperimentConfig:
             raise ConfigError(f"trainer must be 'kar' or 'gd', got {self.trainer!r}")
         if self.pattern not in ("fixed", "exp2", "exp3", "exp4"):
             raise ConfigError(f"unknown architecture pattern {self.pattern!r}")
+        check_seed(self.seed)  # first, so that a negative seed is told the seed's range
+        names = ("seed", "trials", "folds", "max_iters")
+        values = tuple(getattr(self, name) for name in names)
+        for name, value in zip(names, check_integers("seed, trials, folds and max_iters", values, 0)):
+            object.__setattr__(self, name, value)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        check_seed(self.seed)
         if max(self.trials, self.folds, self.max_iters) >= 2**64:
             raise ConfigError("trials, folds and max_iters must be below 2**64")
         object.__setattr__(self, "grid", check_integers("grid values", self.grid, 1))
+        if len(set(self.grid)) < len(self.grid):
+            raise ConfigError(f"grid values must be distinct, got {self.grid}")
         object.__setattr__(self, "layers", check_integers("layer sizes", self.layers, 1))
         check_scale_eps(self.scale_eps)
         check_options(self.learning_rate, self.max_iters, self.gradient_clip)
@@ -225,7 +231,7 @@ def run_iris_sweep(cfg: ExperimentConfig) -> dict:
         [[h, trial, *map(repr, values)] for h, trial, *values in rows],
     )
     per_h = {}
-    for h in dict.fromkeys(grid):
+    for h in grid:
         # one 1-D array per statistic: a 2-D axis-0 mean sums in another order
         sse, sse_t, train_err, test_err = map(np.array, zip(*(r[2:] for r in rows if r[0] == h)))
         per_h[str(h)] = {
@@ -256,16 +262,20 @@ def _select_hidden(
     the hidden sizes of the width with the best mean accuracy over k inner
     folds, and the number of inner fits run.
 
-    Widths go in ascending order and a later one wins only with a strictly
-    higher mean, so ties break toward the smaller width.  A width stops as
-    soon as it cannot win: when, with folds still left, its accuracies so far
-    plus 1.0 for each fold left fall below k x (best mean) - 1e-9.  An
-    accuracy is at most 1 and the margin covers rounding, so a stopped width
-    could at best have tied; its skipped fits never run, so they cannot
-    raise either.  Folds are visited hardest first (lowest summed accuracy
-    over the widths not stopped so far, ties by fold index), so losses show
-    early.  A width that is not stopped is averaged in fold order, which
-    makes the pick the same as evaluating every width on every fold.
+    The middle width of the sorted grid (index (n - 1) // 2) goes first, as
+    a strong incumbent early, then the others in ascending order.  A width
+    that runs every fold replaces the incumbent when its mean is higher, or
+    equal with a smaller width, so ties break toward the smaller width.  A
+    width stops as soon as it cannot win: when, with folds still left, its
+    accuracies so far plus 1.0 for each fold left fall below k x (best mean)
+    - 1e-9.  An accuracy is at most 1 and the margin covers rounding, so a
+    stopped width would have ended below the incumbent, not tied with it;
+    its skipped fits never run, so they cannot raise either.  A width visits
+    first the folds where the last width to visit each scored its largest
+    miss (1 - accuracy), then by lowest summed accuracy over the widths not
+    stopped so far, then by fold index, so losses show early.  A width that
+    is not stopped is averaged in fold order, which makes the pick the same
+    as evaluating every width on every fold.
     """
     inner_k = min(cfg.folds, train.n_samples)
     plan = stratified_folds(train.labels, inner_k, trial_seed)
@@ -274,16 +284,20 @@ def _select_hidden(
                 split_rows(train, np.flatnonzero(plan == fold)), cfg.scale_eps)
         for fold in range(inner_k)
     ]
+    widths = sorted(cfg.grid)
+    widths.insert(0, widths.pop((len(widths) - 1) // 2))
     best_h, best_acc, fits = None, -1.0, 0
     fold_sums = [0.0] * inner_k  # per fold, summed accuracy of the widths not stopped
-    for h in sorted(cfg.grid):
+    misses = [0.0] * inner_k  # per fold, the miss of the last width to visit it
+    for h in widths:
         accs = {}
-        for fold in sorted(range(inner_k), key=lambda f: (fold_sums[f], f)):
+        for fold in sorted(range(inner_k), key=lambda f: (-misses[f], fold_sums[f], f)):
             tr_s, va_s = scaled[fold]
             spec = _spec(tr_s.x, tr_s.y, cfg.hidden_for(h), _unit_seed(trial_seed, h, fold))
             net, _ = _fit(cfg, [(tr_s.x, tr_s.y, spec)])[0]
             fits += 1
-            accs[fold] = 1.0 - _test_error(net, va_s)
+            misses[fold] = _test_error(net, va_s)
+            accs[fold] = 1.0 - misses[fold]
             left = inner_k - len(accs)
             if left and sum(accs.values()) + left < inner_k * best_acc - 1e-9:
                 break
@@ -291,7 +305,7 @@ def _select_hidden(
             in_order = [accs[fold] for fold in range(inner_k)]
             fold_sums = [total + acc for total, acc in zip(fold_sums, in_order)]
             mean_acc = float(np.mean(in_order))
-            if mean_acc > best_acc:
+            if mean_acc > best_acc or (mean_acc == best_acc and h < best_h):
                 best_h, best_acc = h, mean_acc
     return cfg.hidden_for(best_h), fits
 

@@ -351,6 +351,20 @@ class TestExitCodes:
         assert len(errors) == 1 and "needs" in errors[0]
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["cv", "--data", "iris", "--grid", "5,5,10", "--pattern", "exp2", "--folds", "3"],
+                     id="cv"),
+        pytest.param(["iris-sweep", "--grid", "5,5"], id="iris-sweep"),
+    ])
+    def test_repeated_grid_value_is_config_error(self, tmp_path, capsys, argv):
+        """cv would run every inner fit of width 5 twice, and the sweep would
+        write each of its rows twice."""
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--trials", "1", "--out", str(out)) == EXIT_CONFIG
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "grid values must be distinct" in errors[0]
+        assert not out.exists()
+
     def test_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,a\n3,nope,b\n")

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import karnet
 import karnet.experiments as experiments
@@ -188,6 +190,23 @@ class TestRunCv:
         with pytest.raises(ConfigError, match="grid values must be integers >= 1"):
             ExperimentConfig(grid=grid, pattern="exp2")
 
+    @pytest.mark.parametrize("options", [
+        pytest.param(dict(folds=2.5), id="folds"),
+        pytest.param(dict(trials=2.5), id="trials"),
+        pytest.param(dict(trials=True), id="bool-trials"),
+        pytest.param(dict(seed=1.5), id="seed"),
+        pytest.param(dict(seed=None), id="seed-none"),
+        pytest.param(dict(trainer="gd", max_iters=2.5), id="max_iters"),
+    ])
+    def test_non_integer_count_is_config_error_before_out_is_made(self, tmp_path, options):
+        """A count of 2.5 is refused, not left to end in a TypeError once the
+        output directory is made; nor does True run as one trial."""
+        out = tmp_path / "cv"
+        with pytest.raises(ConfigError, match="^seed"):
+            run_cv(ExperimentConfig(**{"dataset": "iris", "layers": (3,), "trials": 1, "folds": 2,
+                                       "out": str(out), **options}))
+        assert not out.exists()
+
     def test_numpy_grid_values_run_and_report_as_json_ints(self, tmp_path):
         grid = tuple(np.arange(2, 4))
         cfg = ExperimentConfig(dataset="iris", grid=grid, pattern="exp2", trials=1, folds=3,
@@ -301,6 +320,8 @@ class TestSelectHidden:
         pytest.param(dict(grid=(1, 2, 3, 5, 10), pattern="exp3", folds=5, seed=4), id="exp3"),
         pytest.param(dict(grid=(1, 3, 5), pattern="exp2", trainer="gd", max_iters=30,
                           gradient_clip=1.0, folds=4, seed=6), id="gd"),
+        # the middle width, 20, goes first but most folds pick 10 or 5
+        pytest.param(dict(grid=(5, 10, 20, 200, 500), pattern="exp2", seed=0), id="middle-first"),
     ])
     def test_picks_the_exhaustive_width(self, tmp_path, monkeypatch, options):
         """Every outer fold's pick is the width an exhaustive inner cv picks,
@@ -364,18 +385,62 @@ class TestSelectHidden:
         assert len(visits) == 12
 
     def test_a_bound_that_reaches_a_tie_runs_on_and_one_below_stops(self, monkeypatch):
-        """The incumbent sums 3.0.  Width 2's bound after its first fold is
-        0 + 3 folds left = 3.0, a tie: it runs all four folds (a tie never
-        wins, but the 1e-9 margin only stops a width clearly below).  Width
-        3's bound after its second fold is 0.75 + 2 = 2.75: stopped there."""
-        picked, visits = self._scripted(monkeypatch, {1: [.75] * 4, 2: [0, 1, 1, 1],
-                                                      3: [0, .75, 1, 1]})
+        """The incumbent, the middle width 2, sums 3.0.  Width 1's bound after
+        its second fold is 0.75 + 2 folds left = 2.75: stopped there.  Width
+        3's bound after its first fold is 0 + 3 = 3.0, a tie: it runs all four
+        folds (a larger width that ties never wins, but the 1e-9 margin only
+        stops a width clearly below)."""
+        picked, visits = self._scripted(monkeypatch, {1: [0, .75, 1, 1], 2: [.75] * 4,
+                                                      3: [0, 1, 1, 1]})
+        assert picked == 2
+        assert [v for v in visits if v[0] == 1] == [(1, 0), (1, 1)]
+        assert [v for v in visits if v[0] == 3] == [(3, 0), (3, 1), (3, 2), (3, 3)]
+
+    def test_the_middle_width_goes_first_then_the_rest_ascending(self, monkeypatch):
+        """Sorted, the grid is (1, 3, 5, 8); index (4 - 1) // 2 is width 3."""
+        picked, visits = self._scripted(monkeypatch, {8: [.5] * 3, 1: [.25] * 3, 5: [.5] * 3,
+                                                      3: [.75] * 3})
+        assert picked == 3
+        assert [h for h, _ in visits[:3]] == [3, 3, 3]
+        assert list(dict.fromkeys(h for h, _ in visits)) == [3, 1, 5, 8]
+
+    def test_a_smaller_width_that_ties_the_incumbent_replaces_it(self, monkeypatch):
+        """Width 1 comes after the middle width 2 and ties it, so it is run
+        out and picked, as an exhaustive cv would pick it; width 3 ties too
+        but is larger."""
+        picked, visits = self._scripted(monkeypatch, {1: [.5, .75, .75, .5],
+                                                      2: [.75, .5, .5, .75], 3: [.625] * 4})
         assert picked == 1
-        assert [v for v in visits if v[0] == 2] == [(2, 0), (2, 1), (2, 2), (2, 3)]
-        assert [v for v in visits if v[0] == 3] == [(3, 0), (3, 1)]
+        assert [h for h, _ in visits] == [2] * 4 + [1] * 4 + [3] * 4
+
+    def test_folds_follow_the_last_miss_not_the_summed_accuracy(self, monkeypatch):
+        """After the middle width 2, folds 0 and 3 have the largest misses
+        (.5 and .25), so width 1 visits them first and stops after them
+        (1 + 0 + 2 folds left = 3 < 3.25).  Its miss of 1 on fold 3 then sends
+        width 3 there first, although by summed accuracy over the widths run
+        out (.5, 1, 1, .75) fold 0 would come first."""
+        picked, visits = self._scripted(monkeypatch, {1: [1, 1, 1, 0], 2: [.5, 1, 1, .75],
+                                                      3: [1] * 4})
+        assert picked == 3
+        assert visits[4:] == [(1, 0), (1, 3), (3, 3), (3, 0), (3, 1), (3, 2)]
+
+    @given(st.data())
+    def test_the_pick_is_the_exhaustive_argmax(self, data):
+        """Any grid order, fold count and accuracies: the pick is the width of
+        the highest summed accuracy, ties to the smaller, and no (width, fold)
+        pair is fit twice."""
+        k = data.draw(st.integers(2, 6), label="folds")
+        widths = data.draw(st.lists(st.integers(1, 500), min_size=1, max_size=6, unique=True),
+                           label="grid")
+        eighths = st.lists(st.integers(0, 8).map(lambda n: n / 8), min_size=k, max_size=k)
+        accs = {h: data.draw(eighths, label=f"accuracies of width {h}") for h in widths}
+        with pytest.MonkeyPatch.context() as mp:
+            picked, visits = self._scripted(mp, accs)
+        assert picked == max(widths, key=lambda h: (sum(accs[h]), -h))
+        assert len(set(visits)) == len(visits)
 
     def test_folds_go_hardest_first_and_a_loser_stops(self, monkeypatch):
-        """After width 1 the fold sums are (1, .5, .75, .5), so width 2 visits
+        """After width 1 the misses are (0, .5, .25, .5), so width 2 visits
         folds 1, 3, 2, 0; its bound is 3.5, then 2.75 (a tie with the
         incumbent's 2.75), then 2.5, where it stops."""
         picked, visits = self._scripted(monkeypatch, {1: [1, .5, .75, .5],
