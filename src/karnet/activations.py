@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ACTIVATION", "CLAMP_EPS", "LO", "HI", "clamp", "logit", "logit_deriv",
-           "apply_logit", "apply_sigmoid"]
+__all__ = ["ACTIVATION", "CLAMP_EPS", "LO", "HI", "clamp", "logit", "apply_logit",
+           "apply_sigmoid"]
 
 ACTIVATION = "logit-sigmoid"  # the name weights files record
 CLAMP_EPS = 1e-7
@@ -31,13 +31,6 @@ def logit(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     r = np.subtract(1.0, a, out=np.empty_like(a))
     r = np.divide(a, r, out=r if out is None else out)
     return np.log(r, out=r)
-
-
-def logit_deriv(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (a (1 - a)), logit's derivative at already-clamped values."""
-    r = np.subtract(1.0, a, out=np.empty_like(a) if out is None else out)
-    np.multiply(a, r, out=r)
-    return np.divide(1.0, r, out=r)
 
 
 def apply_logit(m) -> np.ndarray:

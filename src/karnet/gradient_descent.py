@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activations import HI, LO, apply_sigmoid, clamp, logit, logit_deriv
+from .activations import HI, LO, apply_sigmoid, clamp
 from .errors import ConfigError, NumericalError, check_finite
 from .network import Network, NetworkSpec
 from .training import TrainReport, _check_spec, _finish_report
@@ -50,7 +50,7 @@ def initial_network(spec: NetworkSpec) -> Network:
 
 
 # bytes of buffers a stack may hold (a fit needing more descends alone); at 1 MiB, cv's
-# 135-row iris fits at h = 20 go 9 to a stack, and larger stacks ran no faster per fit
+# 135-row iris fits at h = 20 go 10 to a stack, and larger stacks ran no faster per fit
 STACK_BYTES = 2**20
 
 
@@ -58,11 +58,14 @@ def _buffers(spec: NetworkSpec, xm: np.ndarray) -> list[tuple]:
     """The arrays a descent step fills, allocated once per descent on inputs
     ``xm`` (rows x features, behind a stack's fit axis).  Per layer: its input
     ``[1, G_{k-1}]``, layer 1's holding ``xm`` already; its clamped
-    pre-activation c; f'(c) * delta * mask and its two masks; the delta."""
+    pre-activation c; 1 - c, which backprop turns into f'(c) * delta in place;
+    and ``down``, as wide as the input without its ones column.  Between the
+    two passes ``down`` holds nothing that backprop reads: the forward pass
+    divides the layer below's c / (1 - c) into it, and backprop then passes the
+    delta down to that layer in it."""
     lead = xm.shape[:-1]
     bufs = [(np.ones((*lead, rows)), np.empty((*lead, cols)), np.empty((*lead, cols)),
-             np.empty((*lead, cols), bool), np.empty((*lead, cols), bool),
-             np.empty((*lead, rows))) for rows, cols in spec.weight_shapes]
+             np.empty((*lead, rows - 1))) for rows, cols in spec.weight_shapes]
     bufs[0][0][..., 1:] = xm
     return bufs
 
@@ -74,16 +77,29 @@ def _stack_size(spec: NetworkSpec, m: int) -> int:
     return max(1, STACK_BYTES // (m * row))
 
 
-def _fill(ws: list, bufs: list) -> np.ndarray:
-    """One forward pass of the weights ``ws`` through ``bufs``: each
-    layer's clamped pre-activation, whose logit goes straight into the next
-    layer's input.  Backprop reads the clamped values, so
-    ``network.activate``, which takes logit over them in place, does not
-    serve here.  Returns the output, a new array."""
-    for k, (w, (a, c, *_)) in enumerate(zip(ws, bufs), start=1):
-        clamp(np.matmul(a, w, out=c), out=c)
-        g = logit(c, out=bufs[k][0][..., 1:] if k < len(bufs) else None)
-    return g
+def _fill(ws: list, bufs: list) -> tuple[np.ndarray, list[bool]]:
+    """One forward pass of the weights ``ws`` through ``bufs``: each layer's
+    clamped pre-activation c and its 1 - c, which backprop reads, and the
+    logit log(c / (1 - c)), which goes into the next layer's input from the
+    quotient in that layer's ``down``.  ``network.activate`` keeps none of
+    these, so it does not serve here.  The clamp runs on a layer only where
+    some pre-activation of the stack reaches the band; elsewhere it would
+    change nothing.  Returns the output, a new array, and per layer whether
+    the clamp ran."""
+    clamped = []
+    for k, (w, (a, c, omc, _)) in enumerate(zip(ws, bufs), start=1):
+        np.matmul(a, w, out=c)
+        # min and max keep NaN, which fails both tests, so a NaN goes through the clamp
+        clamped.append(not (LO < np.minimum.reduce(c, axis=None)
+                            and np.maximum.reduce(c, axis=None) < HI))
+        if clamped[-1]:
+            clamp(c, out=c)
+        if k < len(bufs):
+            q, g = bufs[k][3], bufs[k][0][..., 1:]
+        else:
+            q = g = np.empty_like(c)
+        np.log(np.divide(c, np.subtract(1.0, c, out=omc), out=q), out=g)
+    return g, clamped
 
 
 def _sse_and_gradients(ws: list, ym: np.ndarray, bufs: list):
@@ -91,21 +107,24 @@ def _sse_and_gradients(ws: list, ym: np.ndarray, bufs: list):
     pass and one backprop through ``bufs``, which ``_buffers`` made for these
     sizes and inputs.  Each operation acts on the last two axes, so a fit's
     bits are the same alone as in a stack.  The gradients are new."""
-    resid = _fill(ws, bufs)
+    resid, clamped = _fill(ws, bufs)
     resid -= ym
-    loss = np.add.reduce(np.multiply(resid, resid, out=bufs[-1][2]), axis=(-2, -1))
-    # f'(c) at each layer's clamped pre-activation c, zeroed where the clamp
-    # was active; testing c against the band equals testing the unclamped value
+    loss = np.add.reduce(resid * resid, axis=(-2, -1))
     delta = np.multiply(2.0, resid, out=resid)
     grads = [None] * len(ws)
     for k in range(len(ws) - 1, -1, -1):
-        a, c, d, above, below, down = bufs[k]
-        np.multiply(delta, logit_deriv(c, out=d), out=d)
-        mask = np.bitwise_and(np.greater(c, LO, out=above), np.less(c, HI, out=below), out=above)
-        np.multiply(d, mask, out=d)
+        a, c, d, down = bufs[k]
+        # f'(c) = 1 / (c (1 - c)) at each layer's clamped pre-activation c, from
+        # the 1 - c in d, zeroed where the clamp was active; testing c against the
+        # band equals testing the unclamped value, and where the clamp did not
+        # run every factor of the mask is 1
+        np.divide(1.0, np.multiply(c, d, out=d), out=d)
+        np.multiply(delta, d, out=d)
+        if clamped[k]:
+            np.multiply(d, (c > LO) & (c < HI), out=d)
         grads[k] = a.mT @ d
-        if k > 0:
-            delta = np.matmul(d, ws[k].mT, out=down)[..., 1:]
+        if k > 0:  # the ones column's weights pass nothing down
+            delta = np.matmul(d, ws[k][..., 1:, :].mT, out=down)
     return loss, grads
 
 

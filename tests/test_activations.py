@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from karnet.activations import (
-    CLAMP_EPS, HI, LO, apply_logit, apply_sigmoid, clamp, logit, logit_deriv,
+    CLAMP_EPS, HI, LO, apply_logit, apply_sigmoid, clamp, logit,
 )
 
 
@@ -67,14 +67,6 @@ class TestPairProperties:
         y = np.sort(np.random.default_rng(3).normal(scale=5.0, size=500))
         py = apply_sigmoid(y.reshape(1, -1)).ravel()
         assert np.all(np.diff(py) >= 0)
-
-    def test_derivative_matches_finite_differences(self):
-        x = np.linspace(0.05, 0.95, 101)
-        h = 1e-7
-        numeric = (apply_logit((x + h).reshape(1, -1)) -
-                   apply_logit((x - h).reshape(1, -1))) / (2 * h)
-        analytic = logit_deriv(x.reshape(1, -1))
-        np.testing.assert_allclose(numeric, analytic, rtol=1e-5)
 
 
 def _old_apply_logit(m):

@@ -17,7 +17,7 @@ from karnet import (
     forward,
     train_gd,
 )
-from karnet.activations import HI, LO
+from karnet.activations import HI, LO, clamp
 from karnet.errors import NumericalError
 from karnet.gradient_descent import _buffers, _sse_and_gradients, initial_network, train_gd_stack
 from karnet.network import add_bias_column
@@ -207,6 +207,18 @@ def last_input(net, x):
     return add_bias_column(g)
 
 
+def count_clamps(monkeypatch):
+    """The shapes ``karnet.gradient_descent.clamp`` is called on, from now on."""
+    calls = []
+
+    def counted(m, out=None):
+        calls.append(m.shape)
+        return clamp(m, out=out)
+
+    monkeypatch.setattr(karnet.gradient_descent, "clamp", counted)
+    return calls
+
+
 class TestBufferedDescent:
     """``train_gd`` reuses its forward and backprop buffers across steps;
     weights and reports stay those of a descent that reuses none."""
@@ -250,6 +262,18 @@ class TestBufferedDescent:
         np.testing.assert_array_equal(fresh_loss, loss2)
         for g2, f in zip(grads2, fresh_grads):
             np.testing.assert_array_equal(g2, f)
+
+    def test_the_clamp_runs_only_where_a_pre_activation_reaches_the_band(self, monkeypatch):
+        """Strictly inside the band the clamp changes nothing, and the step
+        skips it; a start deep in the clamp runs it."""
+        calls = count_clamps(monkeypatch)
+        x, y, spec = small_problem(11, m=12, hidden=(5, 3), q=3)
+        options = dict(learning_rate=0.05, max_iters=40, gradient_clip=1.0)
+        train_gd(x, y, spec, **options)
+        assert calls == []
+        monkeypatch.setattr(karnet.gradient_descent, "initial_network", clamped_start([0]))
+        train_gd(x, y, spec, **options)
+        assert calls == [(1, 12, 3)] * 41  # the output layer's, on each step and the final pass
 
     @pytest.mark.parametrize("shape", [(8, 1), (1, 2), (8, 3), (7, 2)])
     def test_targets_that_do_not_fit_are_rejected(self, shape):
@@ -300,6 +324,24 @@ class TestStackedDescent:
         options = dict(learning_rate=0.05, max_iters=steps, gradient_clip=clip)
         fits = train_gd_stack(*stack_args(problems), **options)
         self.assert_each_fit_as_alone(problems, fits, **options)
+
+    @pytest.mark.parametrize("hidden", [(), (20,), (5, 3)])
+    def test_a_clamped_fit_leaves_the_free_fits_of_its_stack_alone(self, monkeypatch, hidden):
+        """The clamp runs on the whole stack when one fit's pre-activations
+        reach the band; each fit still gets its bits alone, where the free
+        fits skip the clamp."""
+        problems = [small_problem(seed, m=12, hidden=hidden, q=3) for seed in (21, 22, 23)]
+        clamped = clamped_start([0])
+        monkeypatch.setattr(karnet.gradient_descent, "initial_network",
+                            lambda spec: clamped(spec) if spec.seed == 22 else initial_network(spec))
+        calls = count_clamps(monkeypatch)
+        options = dict(learning_rate=0.05, max_iters=30, gradient_clip=1.0)
+        fits = train_gd_stack(*stack_args(problems), **options)
+        assert calls and all(shape[0] == 3 for shape in calls)
+        calls.clear()
+        self.assert_each_fit_as_alone(problems, fits, **options)
+        assert calls and all(shape[0] == 1 for shape in calls)
+        assert len(calls) == 31  # fit 22's output layer alone
 
     @pytest.mark.parametrize("learning_rate, exact", [(0.05, True), (0.0, False)])
     def test_a_fit_with_a_zero_step_warns_nothing(self, learning_rate, exact):
