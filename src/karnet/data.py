@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, check_scale_eps
+from .errors import ConfigError, DataError, DimensionError, check_fold_count, check_scale_eps
 
 __all__ = [
     "Dataset",
@@ -242,10 +242,7 @@ def stratified_folds(labels, k: int, seed: int) -> np.ndarray:
     """
     lab = np.asarray(labels, dtype=np.intp)
     m = lab.size
-    if k < 2:
-        raise ConfigError(f"need k >= 2 folds, got {k}")
-    if k > m:
-        raise ConfigError(f"k={k} folds exceed {m} samples")
+    check_fold_count(k, m)
     rng = np.random.default_rng(seed)
     assignments = np.empty(m, dtype=np.intp)
     offset = 0

@@ -61,6 +61,12 @@ def check_seed(seed: int) -> None:
 
 
 def check_scale_eps(epsilon: float) -> None:
-    """Raise ConfigError unless the scaling margin ``epsilon`` is in (0, 0.5)."""
-    if not 0.0 < epsilon < 0.5:
-        raise ConfigError(f"scaling epsilon must be in (0, 0.5), got {epsilon}")
+    """Raise ConfigError unless the scaling margin ``epsilon`` is a number in (0, 0.5)."""
+    if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon < 0.5):
+        raise ConfigError(f"scale_eps must be a number in (0, 0.5), got {epsilon!r}")
+
+
+def check_fold_count(folds: int, samples: int) -> None:
+    """Raise ConfigError unless ``folds`` is an integer (no bool) from 2 to ``samples``."""
+    if type(folds) is bool or not isinstance(folds, numbers.Integral) or not 2 <= folds <= samples:
+        raise ConfigError(f"folds must be an integer from 2 to the sample count {samples}, got {folds!r}")

@@ -33,7 +33,8 @@ from .data import (
     split_rows,
     stratified_folds,
 )
-from .errors import ConfigError, DataError, NumericalError, check_finite, check_scale_eps, check_seed
+from .errors import (ConfigError, DataError, KarnetError, NumericalError, check_finite,
+                     check_fold_count, check_scale_eps, check_seed)
 from .gradient_descent import _stack_size, check_options, train_gd_stack
 from .network import Network, NetworkSpec, check_integers, forward
 from .training import error_rate, train_n_layer, train_random_hidden
@@ -407,10 +408,7 @@ def run_cv(cfg: ExperimentConfig) -> dict:
         raise ConfigError("cv --grid needs --pattern exp2, exp3 or exp4, and a pattern needs a grid")
     if bool(cfg.grid) == bool(cfg.layers):
         raise ConfigError("cv needs --layers or a sweep --grid, not both")
-    if cfg.folds > ds.n_samples:
-        raise ConfigError(f"folds={cfg.folds} exceed {ds.n_samples} samples")
-    if cfg.folds < 2:
-        raise ConfigError(f"need k >= 2 folds, got {cfg.folds}")
+    check_fold_count(cfg.folds, ds.n_samples)
     outdir = _output_dir(cfg)
 
     units = [(trial, fold) for trial in range(cfg.trials) for fold in range(cfg.folds)]
@@ -496,22 +494,7 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
     outdir = _output_dir(cfg)
     sidecar = Path(weights_path).parent / "report.json"
     pre = _train_preprocessing(sidecar)
-    scaling = None
-    eps = cfg.scale_eps
-    if pre.get("scaling"):
-        try:
-            scaling = [(float(lo), float(hi)) for lo, hi in pre["scaling"]]
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed scaling in train report: {exc}") from None
-        if len(scaling) != ds.n_features:
-            raise DataError(
-                f"train report scales {len(scaling)} features, data has {ds.n_features}"
-            )
-        if not np.all(np.isfinite(scaling)):
-            raise DataError(f"train report {sidecar}: scaling holds a non-finite bound")
-        eps = pre.get("scale_eps", eps)
-        if "scale_eps" in pre and not (type(eps) is float and 0.0 < eps < 0.5):
-            raise DataError(f"train report {sidecar}: scale_eps {eps!r} is not a number in (0, 0.5)")
+    scaling = pre.get("scaling")
     classes = pre.get("classes")
     if classes and ds.class_names is not None:
         if not isinstance(classes, list) or len(classes) != net.spec.output_dim:
@@ -525,16 +508,22 @@ def run_eval(cfg: ExperimentConfig, weights_path) -> dict:
             f"data has {ds.n_features} features and {ds.y.shape[1]} target columns; "
             f"the network takes {net.spec.input_dim} and gives {net.spec.output_dim}"
         )
-    scaled = (
-        apply_scaling(ds, scaling, eps) if scaling else scale_minmax(ds, eps)
-    )
+    if scaling:  # apply_scaling checks the report's bounds and margin
+        try:
+            scaled = apply_scaling(ds, scaling, pre.get("scale_eps", cfg.scale_eps))
+        except KarnetError as exc:
+            raise DataError(f"train report {sidecar}: {exc}") from None
+        except (TypeError, ValueError) as exc:  # an entry that is not a pair of numbers
+            raise DataError(f"train report {sidecar}: malformed scaling: {exc}") from None
+    else:
+        scaled = scale_minmax(ds, cfg.scale_eps)
     g = forward(net, scaled.x)
     report: dict = {
         "command": "eval",
         "dataset": cfg.dataset,
         "sse": float(np.sum((g - scaled.y) ** 2)),
         "n_samples": ds.n_samples,
-        "scaling_reused": scaling is not None,
+        "scaling_reused": bool(scaling),
     }
     if ds.labels is not None and ds.class_count >= 2:
         report["error_rate"] = error_rate(g, scaled.y)

@@ -162,18 +162,20 @@ def train_gd_stack(
     arrays = zip(*((*_check_spec(*f), *initial_network(f[0]).weights) for f in zip(specs, xs, ys)))
     xm, ym, *ws = map(np.stack, arrays)
     bufs = _buffers(specs[0], xm)
-    for it in range(max_iters):
-        loss, grads = _sse_and_gradients(ws, ym, bufs)
-        if not math.isfinite(np.maximum.reduce(loss)):  # maximum keeps NaN
-            raise NumericalError(f"non-finite loss at iteration {it}")
-        if gradient_clip is not None:  # keepdims: each fit's norm scales its own gradients
-            gnorm = np.sqrt(sum(np.add.reduce(g * g, (-2, -1), keepdims=True) for g in grads))
-            scale = gradient_clip / np.fmax(gnorm, gradient_clip)  # exactly 1.0 within the clip
-            for g in grads:
-                g *= scale
-        for w, g in zip(ws, grads):
-            w -= np.multiply(learning_rate, g, out=g)
-    _fill(ws, bufs)  # the output layer's inputs, which each report scores
+    # an overflowing step ends unwarned in the loss check's, activate's or the report's refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iters):
+            loss, grads = _sse_and_gradients(ws, ym, bufs)
+            if not math.isfinite(np.maximum.reduce(loss)):  # maximum keeps NaN
+                raise NumericalError(f"non-finite loss at iteration {it}")
+            if gradient_clip is not None:  # keepdims: each fit's norm scales its own gradients
+                gnorm = np.sqrt(sum(np.add.reduce(g * g, (-2, -1), keepdims=True) for g in grads))
+                scale = gradient_clip / np.fmax(gnorm, gradient_clip)  # exactly 1.0 within the clip
+                for g in grads:
+                    g *= scale
+            for w, g in zip(ws, grads):
+                w -= np.multiply(learning_rate, g, out=g)
+        _fill(ws, bufs)  # the output layer's inputs, which each report scores
     # copies: under some BLAS kernels, a view's offset into the stack moves its norm's rounding
     nets = [Network(spec=spec, weights=[w[i].copy() for w in ws]) for i, spec in enumerate(specs)]
     reps = [_finish_report(net, bufs[-1][0][i], apply_sigmoid(ym[i]), ym[i], t0, trainer="gd",

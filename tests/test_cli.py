@@ -631,13 +631,20 @@ class TestFailureContract:
         assert "Traceback" not in err and "non-finite" in err
         assert not (tmp_path / "report.json").exists()
 
-    def test_readme_overflow_line_prints_one_error_line(self, tmp_path):
-        """The README's overflow example ends in exit 4 with the refusal
-        alone on stderr: no numpy RuntimeWarning comes before it."""
-        code, err = run_cli_process(
-            "train", "--data", "iris", "--layers", "5", "--trainer", "gd",
-            "--learning-rate", "1e200", "--out", str(tmp_path),
-        )
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["train", "--layers", "5", "--learning-rate", "1e200"], id="readme"),
+        pytest.param(["train", "--layers", "3", "--learning-rate", "1e308"], id="train-1e308"),
+        pytest.param(["cv", "--layers", "3", "--learning-rate", "1e308", "--folds", "2",
+                      "--trials", "1"], id="cv-1e308"),
+        pytest.param(["train", "--layers", "5", "--learning-rate", "1e308",
+                      "--gradient-clip", "1.0"], id="clipped-1e308"),
+    ])
+    def test_readme_overflow_line_prints_one_error_line(self, tmp_path, argv):
+        """The README's overflow example, and a step of 1e308 that overflows
+        the loss (in a cv's workers too) or, clipped, only the last pass, ends
+        in exit 4 with the refusal alone on stderr: no numpy RuntimeWarning."""
+        code, err = run_cli_process(*argv, "--data", "iris", "--trainer", "gd",
+                                    "--out", str(tmp_path))
         assert code == EXIT_NUMERIC
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
@@ -666,7 +673,35 @@ class TestFailureContract:
         )
         assert code == EXIT_DATA
         assert "Traceback" not in err
-        assert str(out / "report.json") in err and "scale_eps" in err
+        # the path holds the test's name, so the word is looked for without it
+        assert str(out / "report.json") in err
+        assert "scale_eps" in err.replace(str(out / "report.json"), "")
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda s: [s[0], ["0.1", s[1][1]], *s[2:]], id="string-bound"),
+        pytest.param(lambda s: [s[0], [*s[1], 2.0], *s[2:]], id="three-numbers"),
+        pytest.param(lambda s: [s[0], 0.5, *s[2:]], id="number-for-a-pair"),
+        pytest.param(lambda s: 5.0, id="number-for-the-list"),
+        pytest.param(lambda s: [s[0], [10**400, s[1][1]], *s[2:]], id="int-past-a-double"),
+    ])
+    def test_malformed_scaling_in_train_report_is_data_error(self, tmp_path, edit):
+        """A bound that is not a number, even one float() reads, is refused."""
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", "iris", "--layers", "5",
+                       "--out", str(out)) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        pre = report["preprocessing"]
+        pre["scaling"] = edit(pre["scaling"])
+        (out / "report.json").write_text(json.dumps(report))
+        code, err = run_cli_process(
+            "eval", "--data", "iris", "--weights", str(out / "weights.json"),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert code == EXIT_DATA
+        assert "Traceback" not in err
+        assert str(out / "report.json") in err
+        assert "scaling" in err.replace(str(out / "report.json"), "")
+        assert not (tmp_path / "eval" / "eval_report.json").exists()
 
     def test_non_finite_scaling_bound_in_train_report_is_data_error(self, tmp_path):
         """A bound json reads as Infinity would scale its column to NaN."""
@@ -783,7 +818,7 @@ class TestFailureContract:
         assert not (tmp_path / "out").exists()
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1
-        assert "layer sizes must be integers >= 1" in errors[0] or "scaling epsilon" in errors[0]
+        assert "layer sizes must be integers >= 1" in errors[0] or "scale_eps" in errors[0]
 
     @pytest.mark.parametrize("command, flags", [
         pytest.param("cv", ["--data", "xor", "--folds", "2"], id="cv"),

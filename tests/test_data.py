@@ -360,6 +360,17 @@ class TestStratifiedFolds:
         with pytest.raises(ConfigError):
             stratified_folds([0, 1], 3, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, 1, 0])
+    def test_k_not_an_integer_from_two_to_the_samples_is_config_error(self, k):
+        """2.5 folds would otherwise number iris's folds 0 to 2, sized 60/60/30."""
+        with pytest.raises(ConfigError, match="^folds must be an integer from 2 to the sample count 150"):
+            stratified_folds(load_iris().labels, k, seed=0)
+
+    def test_numpy_integer_k_gives_the_same_folds(self):
+        labels = load_iris().labels
+        np.testing.assert_array_equal(stratified_folds(labels, np.int64(3), seed=0),
+                                      stratified_folds(labels, 3, seed=0))
+
 
 class TestBuiltins:
     def test_perturbed_xor_exact_values(self):

@@ -207,6 +207,15 @@ class TestRunCv:
                                        "out": str(out), **options}))
         assert not out.exists()
 
+    @pytest.mark.parametrize("folds", [0, 1, 151])
+    def test_fold_count_outside_two_to_the_rows_is_config_error_before_out_is_made(
+        self, tmp_path, folds
+    ):
+        out = tmp_path / "cv"
+        with pytest.raises(ConfigError, match="^folds must be an integer from 2 to the sample count 150"):
+            run_cv(ExperimentConfig(dataset="iris", layers=(3,), trials=1, folds=folds, out=str(out)))
+        assert not out.exists()
+
     def test_numpy_grid_values_run_and_report_as_json_ints(self, tmp_path):
         grid = tuple(np.arange(2, 4))
         cfg = ExperimentConfig(dataset="iris", grid=grid, pattern="exp2", trials=1, folds=3,
@@ -510,7 +519,6 @@ class TestCvPool:
         assert multiprocessing.active_children() == []
         assert dict(os.environ) == environ
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerical_error_in_a_worker_exits_4(self, tmp_path, monkeypatch, capsys):
         errors = []
         for tag in ("inline", "pooled"):
@@ -519,8 +527,8 @@ class TestCvPool:
             else:
                 force_inline(monkeypatch)
             assert main([*_OVERFLOWING_GD_CV, "--out", str(tmp_path / tag)]) == EXIT_NUMERIC
-            errors.append([ln for ln in capsys.readouterr().err.splitlines()
-                           if ln.startswith("error:")])
+            errors.append(capsys.readouterr().err.splitlines())
+            assert all(ln.startswith("error:") for ln in errors[-1])
             assert not (tmp_path / tag / "report.json").exists()
         assert started == [min(experiments._usable_cpus(), 5)]
         assert errors[0] == errors[1] and "non-finite" in errors[0][0]

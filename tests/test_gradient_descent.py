@@ -360,19 +360,21 @@ class TestStackedDescent:
             np.testing.assert_array_equal(w, w_start)
         self.assert_each_fit_as_alone(problems, fits, **options)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_fit_whose_loss_goes_non_finite_ends_its_stack(self):
         """At a learning rate of 1e308 one step overflows a fit's weights,
-        and the next loss is NaN; a fit at its exact fit does not move."""
+        and the next loss is NaN; a fit at its exact fit does not move.  The
+        refusal comes with no RuntimeWarning."""
         problems = [small_problem(seed, m=12, q=3) for seed in (21, 22)]
         x, _, spec = problems[0]
         problems[0] = (x, forward(initial_network(spec), x), spec)
         options = dict(learning_rate=1e308, max_iters=5, gradient_clip=None)
-        train_gd(*problems[0], **options)
-        with pytest.raises(NumericalError, match=r"^non-finite loss at iteration 1$"):
-            train_gd(*problems[1], **options)
-        with pytest.raises(NumericalError, match=r"^non-finite loss at iteration 1$"):
-            train_gd_stack(*stack_args(problems), **options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_gd(*problems[0], **options)
+            with pytest.raises(NumericalError, match=r"^non-finite loss at iteration 1$"):
+                train_gd(*problems[1], **options)
+            with pytest.raises(NumericalError, match=r"^non-finite loss at iteration 1$"):
+                train_gd_stack(*stack_args(problems), **options)
 
     @pytest.mark.parametrize("m, hidden", [(10, (4,)), (135, (20,)), (12, (400, 200))])
     @pytest.mark.parametrize("fits", [1, 3, 2**20])
